@@ -18,10 +18,10 @@ record.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 
-from .key_center import RegistrationTable
+from .key_center import STATUS_ACTIVE, RegistrationTable
 from .mldsa import verify
 from .pk_resolver import FileResolver, NOT_FOUND, OnlineResolver, RHO_MISMATCH
 from .rpki_objects import (
@@ -65,62 +65,55 @@ class ValidationReport:
         return self
 
     def to_dict(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "reason": self.reason,
-            "sig_verifies_performed": self.sig_verifies_performed,
-            "objects_fetched": self.objects_fetched,
-            "bytes_fetched": self.bytes_fetched,
-            "wall_time": self.wall_time,
-        }
+        return asdict(self)
+
+
+def _timed(check, roa: RoaObject, now: int) -> ValidationReport:
+    """Run one validation body on a fresh report and record its wall time."""
+    report = ValidationReport()
+    start = time.perf_counter()
+    try:
+        check(roa, now, report)
+    finally:
+        report.wall_time = time.perf_counter() - start
+    return report
+
+
+def _verify_counted(pk: bytes, obj, report: ValidationReport) -> bool:
+    """Count one signature verification, then perform it."""
+    report.sig_verifies_performed += 1
+    return verify(pk, obj.to_be_signed(), b"", obj.signature)
 
 
 class StandardValidator:
     """Chain validation rooted at a digest-pinned trust anchor."""
 
-    def __init__(self, repo: Repository, trust_anchor_digest: bytes,
-                 cache_full_chain: bool = False):
+    def __init__(self, repo: Repository, trust_anchor_digest: bytes):
         self.repo = repo
         self.trust_anchor_digest = trust_anchor_digest
-        self.cache_full_chain = cache_full_chain
+        # holds only the root, and only after it matched the pinned digest
         self._cache: dict[str, bytes] = {}
 
     def _fetch_rc(self, name: str, report: ValidationReport) -> ResourceCert | None:
         path = rc_path(name)
-        cached = self._cache.get(path)
-        if cached is None:
+        raw = self._cache.get(path)
+        if raw is None:
             try:
                 raw = self.repo.get(path)
             except KeyError:
                 return None
             report.objects_fetched += 1
             report.bytes_fetched += len(raw)
-        else:
-            raw = cached
-        cert = ResourceCert.decode(raw)
-        is_root = cert.issuer_name == cert.subject_name
-        if self.cache_full_chain or is_root:
-            self._cache[path] = raw
-        return cert
+        return ResourceCert.decode(raw)
 
     def validate(self, roa: RoaObject, now: int) -> ValidationReport:
-        report = ValidationReport()
-        start = time.perf_counter()
-        try:
-            self._validate(roa, now, report)
-        finally:
-            report.wall_time = time.perf_counter() - start
-        return report
-
-    def _verify_sig(self, pk: bytes, obj, report: ValidationReport) -> bool:
-        report.sig_verifies_performed += 1
-        return verify(pk, obj.to_be_signed(), b"", obj.signature)
+        return _timed(self._validate, roa, now)
 
     def _validate(self, roa: RoaObject, now: int, report: ValidationReport) -> None:
         if roa.mode != MODE_STANDARD or roa.ee_cert is None or roa.ee_pk is None:
             report.fail(REASON_CHAIN_BROKEN)
             return
-        if not self._verify_sig(roa.ee_pk, roa, report):
+        if not _verify_counted(roa.ee_pk, roa, report):
             report.fail(REASON_BAD_SIGNATURE)
             return
 
@@ -156,13 +149,17 @@ class StandardValidator:
             if not issuer_rc.inr.contains(child.inr):
                 report.fail(REASON_INR_VIOLATION)
                 return
-            if not self._verify_sig(issuer_rc.spki, child, report):
+            if not _verify_counted(issuer_rc.spki, child, report):
                 report.fail(REASON_CHAIN_BROKEN)
                 return
             if issuer_rc.issuer_name == issuer_rc.subject_name:
-                # reached the self-signed root: compare against the pinned anchor
-                if sha_digest(issuer_rc.encode()) != self.trust_anchor_digest:
+                # reached the self-signed root: compare against the pinned
+                # anchor, and cache only a root that matched it
+                encoded = issuer_rc.encode()
+                if sha_digest(encoded) != self.trust_anchor_digest:
                     report.fail(REASON_CHAIN_BROKEN)
+                else:
+                    self._cache[rc_path(issuer_name)] = encoded
                 return
             child = issuer_rc
 
@@ -175,26 +172,19 @@ class IpkpqValidator:
         self.resolver = resolver
         self.registration_table = registration_table
 
-    def validate(self, roa: RoaObject, now) -> ValidationReport:
-        report = ValidationReport()
-        start = time.perf_counter()
-        try:
-            self._validate(roa, now, report)
-        finally:
-            report.wall_time = time.perf_counter() - start
-        return report
+    def validate(self, roa: RoaObject, now: int) -> ValidationReport:
+        return _timed(self._validate, roa, now)
 
-    def _validate(self, roa: RoaObject, now, report: ValidationReport) -> None:
-        if isinstance(now, (int, float)):
-            now = datetime.fromtimestamp(now, timezone.utc)
+    def _validate(self, roa: RoaObject, now: int, report: ValidationReport) -> None:
         if roa.mode != MODE_IPKPQ or roa.signer_r is None:
             report.fail(REASON_REGISTRATION_INVALID)
             return
         record = self.registration_table.get(roa.signer_name)
-        if record is None or record.status != "active":
+        if record is None or record.status != STATUS_ACTIVE:
             report.fail(REASON_REGISTRATION_INVALID)
             return
-        if not (record.valid_from <= now <= record.valid_to):
+        if not (record.valid_from <= datetime.fromtimestamp(now, timezone.utc)
+                <= record.valid_to):
             report.fail(REASON_EXPIRED)
             return
 
@@ -210,17 +200,5 @@ class IpkpqValidator:
             report.fail(REASON_RHO_MISMATCH)
             return
 
-        report.sig_verifies_performed += 1
-        if not verify(resolved.pk, roa.to_be_signed(), b"", roa.signature):
+        if not _verify_counted(resolved.pk, roa, report):
             report.fail(REASON_BAD_SIGNATURE)
-            return
-
-
-def validate_standard(roa: RoaObject, repo: Repository,
-                      trust_anchor_digest: bytes, now: int) -> ValidationReport:
-    return StandardValidator(repo, trust_anchor_digest).validate(roa, now)
-
-
-def validate_ipkpq(roa: RoaObject, resolver, registration_table: RegistrationTable,
-                   now) -> ValidationReport:
-    return IpkpqValidator(resolver, registration_table).validate(roa, now)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
@@ -116,7 +117,11 @@ def _save_ca(state: Path, node: CaNode) -> None:
         "parent": node.parent.name if node.parent else None,
         "serial": node._serial,
     }
-    path.write_text(json.dumps(payload, indent=1) + "\n")
+    # the file holds the CA's secret key: owner-only from its first byte
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o600)
+    with os.fdopen(fd, "w") as fh:
+        os.fchmod(fd, 0o600)  # also tightens an existing file of a wider mode
+        fh.write(json.dumps(payload, indent=1) + "\n")
 
 
 def _load_ca(state: Path, name: str, repo: FsRepository,

@@ -6,7 +6,6 @@ from .core import (
     keygen,
     keygen_from_components,
     level_for_pk,
-    level_for_sig,
     level_for_sk,
     sign,
     verify,
@@ -25,7 +24,6 @@ __all__ = [
     "keygen",
     "keygen_from_components",
     "level_for_pk",
-    "level_for_sig",
     "level_for_sk",
     "sign",
     "verify",

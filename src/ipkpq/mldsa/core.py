@@ -23,7 +23,6 @@ from . import encoding, poly, sampling
 from .params import (
     D,
     LEVEL_BY_PK_LEN,
-    LEVEL_BY_SIG_LEN,
     LEVEL_BY_SK_LEN,
     LEVELS,
     MlDsaLevel,
@@ -54,13 +53,6 @@ def level_for_pk(pk: bytes) -> MlDsaLevel:
         return LEVEL_BY_PK_LEN[len(pk)]
     except KeyError:
         raise DecodeError(f"no ML-DSA level has a {len(pk)}-byte public key") from None
-
-
-def level_for_sig(sig: bytes) -> MlDsaLevel:
-    try:
-        return LEVEL_BY_SIG_LEN[len(sig)]
-    except KeyError:
-        raise DecodeError(f"no ML-DSA level has a {len(sig)}-byte signature") from None
 
 
 def keygen_from_components(level: MlDsaLevel, rho: bytes, rho_prime: bytes,

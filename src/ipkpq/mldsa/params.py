@@ -77,4 +77,3 @@ LEVELS: dict[int, MlDsaLevel] = {44: L44, 65: L65, 87: L87}
 LEVEL_BY_CATEGORY: dict[int, MlDsaLevel] = {lv.category: lv for lv in LEVELS.values()}
 LEVEL_BY_SK_LEN: dict[int, MlDsaLevel] = {lv.sk_len: lv for lv in LEVELS.values()}
 LEVEL_BY_PK_LEN: dict[int, MlDsaLevel] = {lv.pk_len: lv for lv in LEVELS.values()}
-LEVEL_BY_SIG_LEN: dict[int, MlDsaLevel] = {lv.sig_len: lv for lv in LEVELS.values()}

@@ -124,7 +124,3 @@ def extract_matrix(file: bytes) -> SeedMatrixPub:
     if len(blob) != header.matrix_len:
         raise DecodeError("file truncated inside the matrix region", offset=len(file))
     return SeedMatrixPub.from_bytes(header.m, header.h, blob)
-
-
-def record_count(file: bytes) -> int:
-    return sum(1 for _ in iter_records(file))

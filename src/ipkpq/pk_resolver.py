@@ -17,6 +17,10 @@ files and transport failures raise, so callers can tell "no" from
     response = u32 len | payload
         verb 1 payload: the directory file's header and matrix region
         verb 2 payload: found u8 | pk bytes when found
+
+The server drops a connection whose request claims more than
+MAX_REQUEST_BYTES, without reading its body, and one that stays idle for
+HANDLER_TIMEOUT_S seconds.
 """
 
 from __future__ import annotations
@@ -31,10 +35,14 @@ from typing import Callable, Optional
 from . import pk_directory
 from .errors import DecodeError, TransportError
 from .mldsa import decode_rho
-from .seed_fabric import IdentityHandle, SeedMatrixPub, derive_public_seed
+from .seed_fabric import MAX_ID_BYTES, IdentityHandle, SeedMatrixPub, derive_public_seed
 
 VERB_MATRIX = 1
 VERB_RECORD = 2
+
+MAX_REQUEST_BYTES = 1 + MAX_ID_BYTES  # verb plus the longest id
+HANDLER_TIMEOUT_S = 5.0               # server-side read timeout per connection
+_RECV_CHUNK = 1 << 16                 # memory grows with bytes received, not claimed
 
 OK = "ok"
 NOT_FOUND = "not-found"
@@ -61,9 +69,15 @@ def _check(id_: str, r_value: bytes, pk: bytes | None,
 
 def resolve(id_: str, r_value: bytes, file: bytes) -> Optional[ResolvedKey]:
     """Whole-file resolution; None when the record is missing or rho differs."""
-    matrix = pk_directory.extract_matrix(file)
-    _, resolved = _check(id_, r_value, pk_directory.lookup(file, id_), matrix)
-    return resolved
+    return FileResolver(file).resolve(id_, r_value)
+
+
+def _as_provider(file: Callable[[], bytes] | bytes) -> Callable[[], bytes]:
+    """A directory-file provider; a fixed bytes value serves itself."""
+    if isinstance(file, (bytes, bytearray)):
+        blob = bytes(file)
+        return lambda: blob
+    return file
 
 
 class FileResolver:
@@ -74,11 +88,7 @@ class FileResolver:
     """
 
     def __init__(self, file_provider: Callable[[], bytes] | bytes):
-        if isinstance(file_provider, (bytes, bytearray)):
-            blob = bytes(file_provider)
-            self._provider = lambda: blob
-        else:
-            self._provider = file_provider
+        self._provider = _as_provider(file_provider)
         self._matrix: SeedMatrixPub | None = None
         self.bytes_fetched = 0
         self.objects_fetched = 0
@@ -108,13 +118,13 @@ class FileResolver:
 
 
 def _recv_exact(sock: socket.socket, n: int) -> bytes:
-    buf = b""
+    buf = bytearray()
     while len(buf) < n:
-        chunk = sock.recv(n - len(buf))
+        chunk = sock.recv(min(n - len(buf), _RECV_CHUNK))
         if not chunk:
             raise TransportError("connection closed mid-message")
         buf += chunk
-    return buf
+    return bytes(buf)
 
 
 def _send_msg(sock: socket.socket, payload: bytes) -> int:
@@ -123,18 +133,24 @@ def _send_msg(sock: socket.socket, payload: bytes) -> int:
     return len(data)
 
 
-def _recv_msg(sock: socket.socket) -> tuple[bytes, int]:
+def _recv_msg(sock: socket.socket, limit: int | None = None) -> tuple[bytes, int]:
     header = _recv_exact(sock, 4)
     (length,) = struct.unpack(">I", header)
+    if limit is not None and length > limit:
+        raise TransportError(f"message of {length} bytes exceeds the {limit}-byte limit")
     return _recv_exact(sock, length), 4 + length
 
 
 class _QueryHandler(socketserver.BaseRequestHandler):
     def handle(self):
+        self.request.settimeout(HANDLER_TIMEOUT_S)
         try:
-            payload, _ = _recv_msg(self.request)
-        except TransportError:
-            return
+            self._answer()
+        except (TransportError, OSError):
+            return  # closed early, idle past the timeout, or oversize request
+
+    def _answer(self):
+        payload, _ = _recv_msg(self.request, MAX_REQUEST_BYTES)
         file = self.server.file_provider()
         if not payload:
             return
@@ -159,10 +175,7 @@ class PkQueryServer(socketserver.ThreadingTCPServer):
 
     def __init__(self, file_provider: Callable[[], bytes] | bytes,
                  host: str = "127.0.0.1", port: int = 0):
-        if isinstance(file_provider, (bytes, bytearray)):
-            blob = bytes(file_provider)
-            file_provider = lambda: blob  # noqa: E731
-        self.file_provider = file_provider
+        self.file_provider = _as_provider(file_provider)
         super().__init__((host, port), _QueryHandler)
         self._thread: threading.Thread | None = None
 
@@ -187,20 +200,15 @@ class OnlineResolver:
         self._endpoint = endpoint
         self._timeout = timeout
         self._matrix: SeedMatrixPub | None = None
-        self.bytes_sent = 0
-        self.bytes_received = 0
+        self.bytes_fetched = 0  # request and response bytes, prefixes included
         self.objects_fetched = 0
-
-    @property
-    def bytes_fetched(self) -> int:
-        return self.bytes_sent + self.bytes_received
 
     def _roundtrip(self, payload: bytes) -> bytes:
         try:
             with socket.create_connection(self._endpoint, timeout=self._timeout) as sock:
-                self.bytes_sent += _send_msg(sock, payload)
+                self.bytes_fetched += _send_msg(sock, payload)
                 response, n = _recv_msg(sock)
-                self.bytes_received += n
+                self.bytes_fetched += n
                 return response
         except OSError as exc:
             raise TransportError(f"query to {self._endpoint} failed: {exc}") from exc
@@ -230,9 +238,3 @@ class OnlineResolver:
 
     def resolve(self, id_: str, r_value: bytes) -> Optional[ResolvedKey]:
         return self.resolve_detail(id_, r_value)[1]
-
-
-def resolve_online(id_: str, r_value: bytes,
-                   endpoint: tuple[str, int]) -> Optional[ResolvedKey]:
-    """One-shot online resolution against a query endpoint."""
-    return OnlineResolver(endpoint).resolve(id_, r_value)

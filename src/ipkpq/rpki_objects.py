@@ -82,6 +82,14 @@ def _tlv(tag: int, value: bytes) -> bytes:
     return bytes([tag]) + struct.pack(">I", len(value)) + value
 
 
+def _key_binding(spki: bytes | tuple[str, bytes]) -> bytes:
+    """The raw key-binding bytes: a full pk, or R followed by the identity."""
+    if isinstance(spki, tuple):
+        ident, r_value = spki
+        return r_value + ident.encode("utf-8")
+    return spki
+
+
 def _parse_tlvs(data: bytes, base: int = 0) -> list[tuple[int, bytes, int]]:
     out = []
     pos = 0
@@ -211,10 +219,8 @@ class ResourceCert:
     signature: bytes = b""
 
     def _spki_tlv(self) -> bytes:
-        if self.mode == MODE_STANDARD:
-            return _tlv(_T_SPKI_PK, self.spki)
-        ident, r_value = self.spki
-        return _tlv(_T_SPKI_ID, r_value + ident.encode("utf-8"))
+        tag = _T_SPKI_PK if self.mode == MODE_STANDARD else _T_SPKI_ID
+        return _tlv(tag, _key_binding(self.spki))
 
     def encode(self) -> bytes:
         body = (
@@ -238,14 +244,6 @@ class ResourceCert:
 
     def to_be_signed(self) -> bytes:
         return replace(self, signature=b"").encode()
-
-    @property
-    def spki_bytes(self) -> bytes:
-        """The raw key-binding bytes, used for SKI/AKI digests."""
-        if self.mode == MODE_STANDARD:
-            return self.spki
-        ident, r_value = self.spki
-        return r_value + ident.encode("utf-8")
 
     @classmethod
     def decode(cls, data: bytes) -> "ResourceCert":
@@ -496,10 +494,6 @@ class CaNode:
             return self.pk
         return (self.name, self.accompanying_r)
 
-    def signer_spki(self) -> bytes | tuple[str, bytes]:
-        """The key binding a relying party uses to check this CA's signatures."""
-        return self.spki
-
     def next_serial(self) -> int:
         self._serial += 1
         return self._serial
@@ -535,10 +529,6 @@ def _make_rc(issuer: CaNode, subject_name: str, inr: InrSet,
              spki: bytes | tuple[str, bytes], mode: str,
              valid_from: int, valid_to: int) -> ResourceCert:
     crl_uri, aia_uri, repo_uri, mft_uri = _uris(subject_name, issuer.name)
-    spki_raw = spki if isinstance(spki, bytes) else spki[1] + spki[0].encode()
-    issuer_spki = issuer.spki
-    issuer_raw = (issuer_spki if isinstance(issuer_spki, bytes)
-                  else issuer_spki[1] + issuer_spki[0].encode())
     cert = ResourceCert(
         mode=mode,
         serial=issuer.next_serial(),
@@ -547,8 +537,8 @@ def _make_rc(issuer: CaNode, subject_name: str, inr: InrSet,
         inr=inr,
         valid_from=valid_from,
         valid_to=valid_to,
-        ski=hashlib.shake_256(spki_raw).digest(32),
-        aki=hashlib.shake_256(issuer_raw).digest(32),
+        ski=sha_digest(_key_binding(spki)),
+        aki=sha_digest(_key_binding(issuer.spki)),
         crl_uri=crl_uri,
         aia_uri=aia_uri,
         repo_uri=repo_uri,

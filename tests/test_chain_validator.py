@@ -16,8 +16,6 @@ from ipkpq.chain_validator import (
     REASON_REGISTRATION_INVALID,
     REASON_RHO_MISMATCH,
     StandardValidator,
-    validate_ipkpq,
-    validate_standard,
 )
 from ipkpq.drbg import Drbg
 from ipkpq.mldsa import L44, sign
@@ -57,7 +55,8 @@ def ipk_setup(depth=3, seed="ipk"):
 class TestHonestValidation:
     def test_standard_depth3_counts(self):
         root, _, repo, roa = std_setup()
-        report = validate_standard(roa, repo, sha_digest(root.rc.encode()), NOW)
+        validator = StandardValidator(repo, sha_digest(root.rc.encode()))
+        report = validator.validate(roa, NOW)
         assert report.ok
         assert report.sig_verifies_performed == 4  # ROA + EE + 2 chain links
         assert report.objects_fetched == 3          # isp, mid, root (cold)
@@ -73,7 +72,8 @@ class TestHonestValidation:
     @pytest.mark.parametrize("depth", range(3, 9))
     def test_op_count_law_across_depths(self, depth):
         root, _, repo, roa = std_setup(depth=depth, seed=f"std{depth}")
-        report = validate_standard(roa, repo, sha_digest(root.rc.encode()), NOW)
+        validator = StandardValidator(repo, sha_digest(root.rc.encode()))
+        report = validator.validate(roa, NOW)
         assert report.ok
         assert report.sig_verifies_performed == depth + 1
 
@@ -97,18 +97,10 @@ class TestHonestValidation:
         assert std_bytes == sorted(std_bytes) and len(set(std_bytes)) == len(std_bytes)
         assert max(ipk_bytes) / min(ipk_bytes) < 1.05
 
-    def test_full_chain_cache_flag(self):
-        root, _, repo, roa = std_setup()
-        cached = StandardValidator(repo, sha_digest(root.rc.encode()),
-                                   cache_full_chain=True)
-        cached.validate(roa, NOW)
-        warm = cached.validate(roa, NOW)
-        assert warm.ok and warm.bytes_fetched == 0  # everything cached
-        assert warm.sig_verifies_performed == 4     # crypto still runs
-
     def test_report_serializes(self):
         root, _, repo, roa = std_setup()
-        report = validate_standard(roa, repo, sha_digest(root.rc.encode()), NOW)
+        validator = StandardValidator(repo, sha_digest(root.rc.encode()))
+        report = validator.validate(roa, NOW)
         assert json.loads(json.dumps(report.to_dict()))["verdict"] == "valid"
 
     def test_online_resolver_backend_agrees_with_file_backend(self):
@@ -133,7 +125,8 @@ class TestStandardFailures:
         root, _, repo, roa = std_setup()
         broken = dataclasses.replace(
             roa, signature=roa.signature[:-1] + bytes([roa.signature[-1] ^ 1]))
-        report = validate_standard(broken, repo, sha_digest(root.rc.encode()), NOW)
+        validator = StandardValidator(repo, sha_digest(root.rc.encode()))
+        report = validator.validate(broken, NOW)
         assert report.reason == REASON_BAD_SIGNATURE
 
     def test_tampered_middle_rc(self):
@@ -142,7 +135,8 @@ class TestStandardFailures:
         blob = bytearray(repo.get(rc_path(mid_name)))
         blob[-10] ^= 0x01  # inside the signature value
         repo.put(rc_path(mid_name), bytes(blob))
-        report = validate_standard(roa, repo, sha_digest(root.rc.encode()), NOW)
+        validator = StandardValidator(repo, sha_digest(root.rc.encode()))
+        report = validator.validate(roa, NOW)
         assert report.reason == REASON_CHAIN_BROKEN
 
     def test_swapped_ee_cert_breaks_roa_signature(self):
@@ -152,7 +146,8 @@ class TestStandardFailures:
         rng = Drbg("other")
         other = issue_roa(leaf, InrSet.of(["10.0.0.0/25"], [(64100, 64100)]), rng=rng)
         forged = dataclasses.replace(roa, ee_cert=other.ee_cert)
-        report = validate_standard(forged, repo, sha_digest(root.rc.encode()), NOW)
+        validator = StandardValidator(repo, sha_digest(root.rc.encode()))
+        report = validator.validate(forged, NOW)
         assert report.reason == REASON_BAD_SIGNATURE
 
     def test_ee_cert_key_mismatch_is_chain_broken(self):
@@ -165,7 +160,8 @@ class TestStandardFailures:
         forged = dataclasses.replace(roa, ee_pk=rogue_pk, signature=b"")
         forged = dataclasses.replace(
             forged, signature=sign(rogue_sk, forged.to_be_signed()))
-        report = validate_standard(forged, repo, sha_digest(root.rc.encode()), NOW)
+        validator = StandardValidator(repo, sha_digest(root.rc.encode()))
+        report = validator.validate(forged, NOW)
         assert report.reason == REASON_CHAIN_BROKEN
 
     def test_inr_violation_detected(self):
@@ -180,25 +176,39 @@ class TestStandardFailures:
         rng = Drbg("wide-roa")
         wide_roa = issue_roa(leaf, InrSet.of(["10.0.0.0/24"], [(64100, 64100)]),
                              rng=rng)
-        report = validate_standard(wide_roa, repo, sha_digest(root.rc.encode()), NOW)
+        validator = StandardValidator(repo, sha_digest(root.rc.encode()))
+        report = validator.validate(wide_roa, NOW)
         assert report.reason == REASON_INR_VIOLATION
 
     def test_expired_chain(self):
         root, _, repo, roa = std_setup()
-        report = validate_standard(roa, repo, sha_digest(root.rc.encode()),
-                                   WINDOW[1] + 10)
+        validator = StandardValidator(repo, sha_digest(root.rc.encode()))
+        report = validator.validate(roa, WINDOW[1] + 10)
         assert report.reason == REASON_EXPIRED
 
     def test_missing_intermediate(self):
         root, leaf, repo, roa = std_setup()
         repo._objects.pop(rc_path(leaf.parent.name))
-        report = validate_standard(roa, repo, sha_digest(root.rc.encode()), NOW)
+        validator = StandardValidator(repo, sha_digest(root.rc.encode()))
+        report = validator.validate(roa, NOW)
         assert report.reason == REASON_NOT_FOUND
 
     def test_wrong_trust_anchor(self):
         root, _, repo, roa = std_setup()
-        report = validate_standard(roa, repo, b"\x00" * 32, NOW)
+        report = StandardValidator(repo, b"\x00" * 32).validate(roa, NOW)
         assert report.reason == REASON_CHAIN_BROKEN
+
+    def test_rejected_root_is_not_cached(self):
+        # a root that fails the pin must not outlive the next fetch
+        root, _, repo, roa = std_setup()
+        validator = StandardValidator(repo, sha_digest(root.rc.encode()))
+        good = repo.get(rc_path(root.name))
+        wrong = bytearray(good)
+        wrong[-10] ^= 0x01  # inside the signature value; still self-issued
+        repo.put(rc_path(root.name), bytes(wrong))
+        assert validator.validate(roa, NOW).reason == REASON_CHAIN_BROKEN
+        repo.put(rc_path(root.name), good)
+        assert validator.validate(roa, NOW).ok
 
 
 class TestIpkpqFailures:
@@ -277,8 +287,8 @@ class TestCrossMode:
                 roa, signature=_flip(roa.signature, flip))
             broken_ipk = dataclasses.replace(
                 iroa, signature=_flip(iroa.signature, flip))
-            assert not validate_standard(
-                broken_std, repo, sha_digest(root.rc.encode()), NOW).ok
+            assert not StandardValidator(
+                repo, sha_digest(root.rc.encode())).validate(broken_std, NOW).ok
             assert not validator.validate(broken_ipk, NOW).ok
 
     def test_no_false_accepts_across_mutation_suite(self):
@@ -295,7 +305,7 @@ class TestCrossMode:
             except Exception:
                 continue  # structurally destroyed: rejected before validation
             if i % 2:
-                accepts += validate_standard(mutated, repo, ta, NOW).ok
+                accepts += StandardValidator(repo, ta).validate(mutated, NOW).ok
             else:
                 accepts += validator.validate(mutated, NOW).ok
         assert accepts == 0

@@ -1,6 +1,7 @@
 """End-to-end command-line flows against temporary state directories."""
 
 import json
+import stat
 
 from ipkpq.cli import main
 
@@ -87,6 +88,12 @@ class TestCaAndValidate:
         report = json.loads(capsys.readouterr().out)
         assert report["verdict"] == "valid"
         assert report["sig_verifies_performed"] == 3  # depth-2 chain
+
+    def test_ca_key_file_is_owner_only(self, tmp_path):
+        assert run(tmp_path, "ca", "init-root", "--name", "RIPE",
+                   "--mode", "standard") == 0
+        ca_file = tmp_path / "state" / "cas" / "RIPE.json"
+        assert stat.S_IMODE(ca_file.stat().st_mode) == 0o600
 
     def test_issue_roa_outside_allocation_fails(self, tmp_path, capsys):
         full_ipkpq_flow(tmp_path, capsys)

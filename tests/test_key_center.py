@@ -28,7 +28,7 @@ class TestInit:
         header = pk_directory.decode_header(file)
         assert (header.m, header.h) == (32, 32)
         assert header.matrix_len == 1024 * 32
-        assert pk_directory.record_count(file) == 0
+        assert len(list(pk_directory.iter_records(file))) == 0
 
     def test_double_init_is_an_error(self):
         center = make_center()
@@ -105,7 +105,8 @@ class TestRenewRevoke:
         center.renew("APNIC", WINDOW[1] + timedelta(days=30))
         second = run_keygen(center, "APNIC", Drbg("ca2"))
         file = center.publish_file_pk()
-        assert pk_directory.record_count(file) == 2  # append-only, both present
+        # append-only, both present
+        assert len(list(pk_directory.iter_records(file))) == 2
         assert pk_directory.lookup(file, "APNIC") == second.pk  # newest wins
         # the superseded accompanying key no longer resolves
         assert pk_resolver.resolve("APNIC", first.R, file) is None
@@ -125,7 +126,7 @@ class TestPublication:
             register(center, f"CA{i}", seed=f"r{i}")
             run_keygen(center, f"CA{i}", Drbg(f"ca{i}"))
         file = center.publish_file_pk()
-        assert pk_directory.record_count(file) == 3
+        assert len(list(pk_directory.iter_records(file))) == 3
         for _, rid, pk in pk_directory.iter_records(file):
             assert len(pk) == 1312  # ML-DSA-44 record payloads
 

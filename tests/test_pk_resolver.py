@@ -1,9 +1,13 @@
 """Resolution semantics: the consistency triple, substitution, online mode."""
 
+import socket
+import struct
+import time
+
 import pytest
 
 from conftest import make_center, register
-from ipkpq import pk_directory
+from ipkpq import pk_directory, pk_resolver
 from ipkpq.drbg import Drbg
 from ipkpq.errors import DecodeError, TransportError
 from ipkpq.keygen_protocol import run_keygen
@@ -13,7 +17,6 @@ from ipkpq.pk_resolver import (
     OnlineResolver,
     PkQueryServer,
     resolve,
-    resolve_online,
 )
 from ipkpq.seed_fabric import IdentityHandle, derive_public_seed
 
@@ -144,7 +147,8 @@ class TestOnline:
         evil = pk_directory.append_record(evil, "CA0", pk_ca1)
         server = PkQueryServer(evil).start()
         try:
-            assert resolve_online("CA0", results["CA0"].R, server.endpoint) is None
+            online = OnlineResolver(server.endpoint)
+            assert online.resolve("CA0", results["CA0"].R) is None
         finally:
             server.stop()
 
@@ -167,7 +171,7 @@ class TestOnline:
         endpoint = server.endpoint
         server.stop()
         with pytest.raises(TransportError):
-            resolve_online("CA0", results["CA0"].R, endpoint)
+            OnlineResolver(endpoint).resolve("CA0", results["CA0"].R)
 
     def test_live_appends_visible_without_matrix_refetch(self, setup):
         center, results = setup
@@ -179,5 +183,31 @@ class TestOnline:
             late = run_keygen(center, "LATE", Drbg("late-ca"))
             resolved = online.resolve("LATE", late.R)
             assert resolved is not None and resolved.pk == late.pk
+        finally:
+            server.stop()
+
+    def test_oversize_request_is_dropped_unread(self, setup):
+        center, results = setup
+        server = PkQueryServer(center.publish_file_pk()).start()
+        try:
+            with socket.create_connection(server.endpoint, timeout=5) as sock:
+                # header only: a body this long is never sent, nor read
+                sock.sendall(struct.pack(">I", pk_resolver.MAX_REQUEST_BYTES + 1))
+                assert sock.recv(1) == b""  # closed without a reply
+            online = OnlineResolver(server.endpoint)
+            assert online.fetch_record("CA0") == results["CA0"].pk
+            assert online.fetch_record("x" * 1024) is None  # longest id still fits
+        finally:
+            server.stop()
+
+    def test_idle_client_is_disconnected(self, setup, monkeypatch):
+        monkeypatch.setattr(pk_resolver, "HANDLER_TIMEOUT_S", 0.2)
+        center, _ = setup
+        server = PkQueryServer(center.publish_file_pk()).start()
+        try:
+            with socket.create_connection(server.endpoint, timeout=5) as sock:
+                start = time.monotonic()
+                assert sock.recv(1) == b""
+                assert time.monotonic() - start < 4
         finally:
             server.stop()

@@ -14,9 +14,11 @@ Three experiments:
     leaf validator must store and the bytes fetched per validation, per
     depth.
 
-Workloads are generated from the scenario seed, so paired runs of the two
-modes see identical trees and ROA payloads. Timing comparisons should
-interleave rounds (A,B,A,B,...), which `run_paired_*` does.
+Workloads are generated from the scenario seed, so runs of the two modes
+see identical trees and ROA payloads. `run_generation` and
+`run_verification` take a list of scenarios (any mix of modes and depths),
+prepare every one, then run round r of each in turn (A,B,C,...,A,B,C,...)
+so machine drift hits every scenario alike; their round counts must agree.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ import csv
 import io
 import statistics
 import time
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, fields, replace
 
 from .chain_validator import IpkpqValidator, StandardValidator, ValidationReport
@@ -58,7 +61,6 @@ class Scenario:
     mode: str
     level: int = 44
     depth: int = 3
-    fanout: int = 1
     roa_count: int = 50
     rounds: int = 8
     seed: int = 0
@@ -71,12 +73,12 @@ class Scenario:
             raise ParameterError(f"unknown level {self.level}")
         if self.depth < 3:
             raise ParameterError("depth must be at least 3")
-        if self.fanout < 1 or self.rounds < 1 or self.roa_count < 0:
-            raise ParameterError("fanout/rounds must be >= 1 and roa_count >= 0")
+        if self.rounds < 1 or self.roa_count < 0:
+            raise ParameterError("rounds must be >= 1 and roa_count >= 0")
 
     @property
     def scenario_id(self) -> str:
-        return (f"{self.mode}-L{self.level}-d{self.depth}-f{self.fanout}"
+        return (f"{self.mode}-L{self.level}-d{self.depth}"
                 f"-n{self.roa_count}-s{self.seed}")
 
 
@@ -122,7 +124,7 @@ def _chain_inr(depth_idx: int) -> InrSet:
 
 def _build_chain(scenario: Scenario, center: KeyCenter | None, rng: Drbg,
                  metrics: Metrics, name_suffix: str) -> tuple[Repository, CaNode, CaNode]:
-    """Root-to-leaf chain of `depth` CAs; extra fanout siblings get RCs too."""
+    """Root-to-leaf chain of `depth` CAs."""
     repo = Repository()
     root = make_root(f"RIR{name_suffix}", scenario.mode, LEVELS[scenario.level], repo,
                      center=center, valid_from=_WINDOW[0], valid_to=_WINDOW[1],
@@ -133,10 +135,6 @@ def _build_chain(scenario: Scenario, center: KeyCenter | None, rng: Drbg,
         child = provision_child(node, f"CA{d}", inr, center=center, rng=rng,
                                 metrics=metrics)
         issue_rc(node, child.name, inr, metrics)
-        for extra in range(1, scenario.fanout):
-            sib = provision_child(node, f"CA{d}x{extra}", inr, center=center,
-                                  rng=rng, metrics=metrics)
-            issue_rc(node, sib.name, inr, metrics)
         node = child
     return repo, root, node
 
@@ -156,6 +154,16 @@ def _fresh_center(scenario: Scenario) -> KeyCenter | None:
     return init_center(scenario.matrix_dim, scenario.matrix_dim,
                        LEVELS[scenario.level],
                        Drbg(f"{scenario.scenario_id}/center"))
+
+
+def _interleave(scenarios: Sequence[Scenario], prepare: Callable,
+                run_round: Callable) -> list[BenchRow]:
+    """Prepare every scenario, then run round r of each in turn."""
+    rounds = {s.rounds for s in scenarios}
+    if len(rounds) > 1:
+        raise ParameterError("interleaved scenarios must agree on round count")
+    prepared = [prepare(s) for s in scenarios]
+    return [run_round(p, r) for r in range(max(rounds, default=0)) for p in prepared]
 
 
 # -- generation -----------------------------------------------------------
@@ -190,22 +198,9 @@ def _generation_round(scenario: Scenario, center: KeyCenter | None,
     return row
 
 
-def run_generation_bench(scenario: Scenario) -> list[BenchRow]:
-    center = _fresh_center(scenario)
-    return [_generation_round(scenario, center, r) for r in range(scenario.rounds)]
-
-
-def run_paired_generation(standard: Scenario, ipkpq: Scenario) -> list[BenchRow]:
-    """Interleave rounds A,B,A,B,... so machine drift hits both modes alike."""
-    if standard.rounds != ipkpq.rounds:
-        raise ParameterError("paired scenarios must agree on round count")
-    center_std = _fresh_center(standard)
-    center_ipk = _fresh_center(ipkpq)
-    rows: list[BenchRow] = []
-    for r in range(standard.rounds):
-        rows.append(_generation_round(standard, center_std, r))
-        rows.append(_generation_round(ipkpq, center_ipk, r))
-    return rows
+def run_generation(scenarios: Sequence[Scenario]) -> list[BenchRow]:
+    return _interleave(scenarios, lambda s: (s, _fresh_center(s)),
+                       lambda prepared, r: _generation_round(*prepared, r))
 
 
 # -- verification ---------------------------------------------------------
@@ -218,7 +213,6 @@ class _VerificationSetup:
     validator: StandardValidator | IpkpqValidator
     repo: Repository
     leaf_name: str
-    now: int = _NOW
 
 
 def _prepare_verification(scenario: Scenario) -> _VerificationSetup:
@@ -244,7 +238,7 @@ def _verification_round(setup: _VerificationSetup, round_idx: int) -> BenchRow:
     failures = 0
     t0 = time.perf_counter()
     for roa in setup.roas:
-        report: ValidationReport = setup.validator.validate(roa, setup.now)
+        report: ValidationReport = setup.validator.validate(roa, _NOW)
         verify_ops += report.sig_verifies_performed
         bytes_fetched += report.bytes_fetched
         objects_fetched += report.objects_fetched
@@ -272,21 +266,8 @@ def _verification_round(setup: _VerificationSetup, round_idx: int) -> BenchRow:
     return row
 
 
-def run_verification_bench(scenario: Scenario) -> list[BenchRow]:
-    setup = _prepare_verification(scenario)
-    return [_verification_round(setup, r) for r in range(scenario.rounds)]
-
-
-def run_paired_verification(standard: Scenario, ipkpq: Scenario) -> list[BenchRow]:
-    if standard.rounds != ipkpq.rounds:
-        raise ParameterError("paired scenarios must agree on round count")
-    setup_std = _prepare_verification(standard)
-    setup_ipk = _prepare_verification(ipkpq)
-    rows: list[BenchRow] = []
-    for r in range(standard.rounds):
-        rows.append(_verification_round(setup_std, r))
-        rows.append(_verification_round(setup_ipk, r))
-    return rows
+def run_verification(scenarios: Sequence[Scenario]) -> list[BenchRow]:
+    return _interleave(scenarios, _prepare_verification, _verification_round)
 
 
 # -- storage / communication accounting ------------------------------------
@@ -317,8 +298,8 @@ def run_overhead_accounting(scenario: Scenario, max_depth: int = 8) -> list[Benc
         sub = replace(scenario, depth=depth, roa_count=1, rounds=1)
         setup = _prepare_verification(sub)
         # warm the caches, then measure one validation
-        setup.validator.validate(setup.roas[0], setup.now)
-        report = setup.validator.validate(setup.roas[0], setup.now)
+        setup.validator.validate(setup.roas[0], _NOW)
+        report = setup.validator.validate(setup.roas[0], _NOW)
         if not report.ok:
             raise RuntimeError(f"honest ROA failed validation at depth {depth}")
         rows.append(BenchRow(
@@ -355,11 +336,8 @@ def parse_csv(text: str) -> list[dict]:
     return list(csv.DictReader(io.StringIO(text)))
 
 
-def _median_rate(rows: list[BenchRow], mode: str, *, steady: bool = False) -> float | None:
-    rates = [
-        (r.roas_per_sec_steady if steady else r.roas_per_sec)
-        for r in rows if r.mode == mode and r.roas_per_sec is not None
-    ]
+def _median_rate(rows: list[BenchRow], mode: str) -> float | None:
+    rates = [r.roas_per_sec for r in rows if r.mode == mode and r.roas_per_sec is not None]
     return statistics.median(rates) if rates else None
 
 

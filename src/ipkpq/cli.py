@@ -22,11 +22,9 @@ from . import pk_directory, pk_resolver
 from .bench import (
     Scenario,
     emit_csv,
-    run_generation_bench,
+    run_generation,
     run_overhead_accounting,
-    run_paired_generation,
-    run_paired_verification,
-    run_verification_bench,
+    run_verification,
     summarize,
 )
 from .chain_validator import IpkpqValidator, StandardValidator
@@ -329,32 +327,16 @@ def _parse_depths(spec: str) -> list[int]:
 def cmd_bench(args) -> int:
     depths = _parse_depths(args.depth)
     modes = ([MODE_STANDARD, MODE_IPKPQ] if args.mode == "both" else [args.mode])
-    rows = []
-    for depth in depths:
-        scenarios = {
-            mode: Scenario(mode=mode, level=args.level, depth=depth,
-                           roa_count=args.roas, rounds=args.rounds, seed=args.seed)
-            for mode in modes
-        }
-        if args.which == "gen":
-            if len(modes) == 2:
-                rows += run_paired_generation(scenarios[MODE_STANDARD],
-                                              scenarios[MODE_IPKPQ])
-            else:
-                rows += run_generation_bench(scenarios[modes[0]])
-        elif args.which == "verify":
-            if len(modes) == 2:
-                rows += run_paired_verification(scenarios[MODE_STANDARD],
-                                                scenarios[MODE_IPKPQ])
-            else:
-                rows += run_verification_bench(scenarios[modes[0]])
-        else:  # overhead sweeps its own depth range internally
-            for mode in modes:
-                rows += run_overhead_accounting(
-                    Scenario(mode=mode, level=args.level, depth=depths[0],
-                             roa_count=1, rounds=1, seed=args.seed),
-                    max_depth=depths[-1])
-            break
+    if args.which == "overhead":  # sweeps its own depth range
+        rows = [row for mode in modes for row in run_overhead_accounting(
+            Scenario(mode=mode, level=args.level, depth=depths[0],
+                     roa_count=1, rounds=1, seed=args.seed),
+            max_depth=depths[-1])]
+    else:
+        run = run_generation if args.which == "gen" else run_verification
+        rows = run([Scenario(mode=mode, level=args.level, depth=depth,
+                             roa_count=args.roas, rounds=args.rounds, seed=args.seed)
+                    for depth in depths for mode in modes])
     csv_text = emit_csv(rows)
     if args.out:
         Path(args.out).write_text(csv_text)

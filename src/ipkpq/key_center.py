@@ -63,10 +63,6 @@ class RegistrationRecord:
     valid_to: datetime
     status: str = STATUS_REGISTERED
 
-    def is_active(self, now: datetime) -> bool:
-        return (self.status == STATUS_ACTIVE
-                and self.valid_from <= now <= self.valid_to)
-
     def to_json(self) -> str:
         return json.dumps({
             "attributes": self.attributes,
@@ -314,6 +310,7 @@ class KeyCenter:
     _META = "center.json"
 
     def save(self, directory: str | Path) -> None:
+        """Each file is replaced whole, so a crash leaves its old or new copy."""
         self._require_init()
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
@@ -322,18 +319,18 @@ class KeyCenter:
             key = bytes.fromhex(key_path.read_text().strip())
         else:
             key = secrets.token_bytes(32)
-            key_path.write_text(key.hex() + "\n")
-            os.chmod(key_path, 0o600)
+            _replace_file(key_path, (key.hex() + "\n").encode(), owner_only=True)
         with self._lock:
-            (directory / self._SEALED_FILE).write_bytes(
-                self.store.export_encrypted(key, self.pub_matrix.m, self.pub_matrix.h))
-            (directory / self._FILE_PK).write_bytes(self.file_pk)
-            (directory / self._REG_TABLE).write_text(self.publish_registration_table())
-            (directory / self._META).write_text(json.dumps({
+            _replace_file(directory / self._SEALED_FILE, self.store.export_encrypted(
+                key, self.pub_matrix.m, self.pub_matrix.h))
+            _replace_file(directory / self._FILE_PK, self.file_pk)
+            _replace_file(directory / self._REG_TABLE,
+                          self.publish_registration_table().encode())
+            _replace_file(directory / self._META, (json.dumps({
                 "level": self.level.number,
                 "m": self.pub_matrix.m,
                 "h": self.pub_matrix.h,
-            }) + "\n")
+            }) + "\n").encode())
 
     @classmethod
     def load(cls, directory: str | Path) -> "KeyCenter":
@@ -353,6 +350,24 @@ class KeyCenter:
     @classmethod
     def exists(cls, directory: str | Path) -> bool:
         return (Path(directory) / cls._META).exists()
+
+
+def _replace_file(path: Path, data: bytes, *, owner_only: bool = False) -> None:
+    """Write a temp file beside `path`, then rename it over `path`."""
+    tmp = path.with_name(path.name + ".tmp")
+    mode = 0o600 if owner_only else 0o666
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, mode)
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            if owner_only:
+                os.fchmod(fd, mode)  # also tightens a stale temp file of a wider mode
+            fh.write(data)
+            fh.flush()
+            os.fsync(fd)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def init_center(m: int, h: int, level: MlDsaLevel | None = None,

@@ -19,8 +19,11 @@ files and transport failures raise, so callers can tell "no" from
         verb 2 payload: found u8 | pk bytes when found
 
 The server drops a connection whose request claims more than
-MAX_REQUEST_BYTES, without reading its body, and one that stays idle for
-HANDLER_TIMEOUT_S seconds.
+MAX_REQUEST_BYTES, without reading its body, and one that has not been
+served within HANDLER_TIMEOUT_S seconds. The client likewise refuses,
+unread, a matrix response longer than MAX_MATRIX_RESPONSE or a record
+response longer than 1 + pk_len, and gives each round trip one deadline of
+its timeout.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ import socket
 import socketserver
 import struct
 import threading
+import time
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -41,8 +45,12 @@ VERB_MATRIX = 1
 VERB_RECORD = 2
 
 MAX_REQUEST_BYTES = 1 + MAX_ID_BYTES  # verb plus the longest id
-HANDLER_TIMEOUT_S = 5.0               # server-side read timeout per connection
+HANDLER_TIMEOUT_S = 5.0               # server-side deadline per connection
 _RECV_CHUNK = 1 << 16                 # memory grows with bytes received, not claimed
+# the largest header+matrix region a valid header describes: h | 256 and
+# m <= 2^(256/h), both u16 (h=16, m=65535: about 32 MiB)
+MAX_MATRIX_RESPONSE = pk_directory.HEADER_LEN + 32 * max(
+    h * min(0xFFFF, 1 << (256 // h)) for h in (2, 4, 8, 16, 32, 64, 128, 256))
 
 OK = "ok"
 NOT_FOUND = "not-found"
@@ -117,14 +125,23 @@ class FileResolver:
 # -- online endpoint ----------------------------------------------------
 
 
-def _recv_exact(sock: socket.socket, n: int) -> bytes:
+def _recv_exact(sock: socket.socket, n: int, deadline: float) -> bytes:
     buf = bytearray()
     while len(buf) < n:
+        _time_left(sock, deadline)
         chunk = sock.recv(min(n - len(buf), _RECV_CHUNK))
         if not chunk:
             raise TransportError("connection closed mid-message")
         buf += chunk
     return bytes(buf)
+
+
+def _time_left(sock: socket.socket, deadline: float) -> None:
+    """Let the next socket call wait no later than `deadline`."""
+    left = deadline - time.monotonic()
+    if left <= 0:
+        raise TransportError("round trip exceeded its deadline")
+    sock.settimeout(left)
 
 
 def _send_msg(sock: socket.socket, payload: bytes) -> int:
@@ -133,24 +150,25 @@ def _send_msg(sock: socket.socket, payload: bytes) -> int:
     return len(data)
 
 
-def _recv_msg(sock: socket.socket, limit: int | None = None) -> tuple[bytes, int]:
-    header = _recv_exact(sock, 4)
+def _recv_msg(sock: socket.socket, limit: int, deadline: float) -> tuple[bytes, int]:
+    header = _recv_exact(sock, 4, deadline)
     (length,) = struct.unpack(">I", header)
-    if limit is not None and length > limit:
+    if length > limit:
         raise TransportError(f"message of {length} bytes exceeds the {limit}-byte limit")
-    return _recv_exact(sock, length), 4 + length
+    return _recv_exact(sock, length, deadline), 4 + length
 
 
 class _QueryHandler(socketserver.BaseRequestHandler):
     def handle(self):
-        self.request.settimeout(HANDLER_TIMEOUT_S)
+        # one deadline, so a client trickling its request cannot hold the thread
+        deadline = time.monotonic() + HANDLER_TIMEOUT_S
         try:
-            self._answer()
+            self._answer(deadline)
         except (TransportError, OSError):
-            return  # closed early, idle past the timeout, or oversize request
+            return  # closed early, past the deadline, or oversize request
 
-    def _answer(self):
-        payload, _ = _recv_msg(self.request, MAX_REQUEST_BYTES)
+    def _answer(self, deadline: float):
+        payload, _ = _recv_msg(self.request, MAX_REQUEST_BYTES, deadline)
         file = self.server.file_provider()
         if not payload:
             return
@@ -200,14 +218,17 @@ class OnlineResolver:
         self._endpoint = endpoint
         self._timeout = timeout
         self._matrix: SeedMatrixPub | None = None
+        self._pk_len = 0  # from the matrix response's header
         self.bytes_fetched = 0  # request and response bytes, prefixes included
         self.objects_fetched = 0
 
-    def _roundtrip(self, payload: bytes) -> bytes:
+    def _roundtrip(self, payload: bytes, limit: int) -> bytes:
+        deadline = time.monotonic() + self._timeout
         try:
             with socket.create_connection(self._endpoint, timeout=self._timeout) as sock:
+                _time_left(sock, deadline)
                 self.bytes_fetched += _send_msg(sock, payload)
-                response, n = _recv_msg(sock)
+                response, n = _recv_msg(sock, limit, deadline)
                 self.bytes_fetched += n
                 return response
         except OSError as exc:
@@ -215,16 +236,19 @@ class OnlineResolver:
 
     def _ensure_matrix(self) -> SeedMatrixPub:
         if self._matrix is None:
-            blob = self._roundtrip(bytes([VERB_MATRIX]))
+            blob = self._roundtrip(bytes([VERB_MATRIX]), MAX_MATRIX_RESPONSE)
             header = pk_directory.decode_header(blob)
             if len(blob) != header.record_region_offset:
                 raise DecodeError("matrix response truncated", offset=len(blob))
             self._matrix = pk_directory.extract_matrix(blob)
+            self._pk_len = header.level.pk_len
             self.objects_fetched += 1
         return self._matrix
 
     def fetch_record(self, id_: str) -> bytes | None:
-        response = self._roundtrip(bytes([VERB_RECORD]) + id_.encode("utf-8"))
+        self._ensure_matrix()  # its header's level caps the record response
+        response = self._roundtrip(bytes([VERB_RECORD]) + id_.encode("utf-8"),
+                                   1 + self._pk_len)
         if not response:
             raise TransportError("empty record response")
         if response[0] == 0:

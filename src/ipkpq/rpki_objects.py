@@ -29,7 +29,7 @@ import secrets
 import struct
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
-from typing import Callable, Iterable, Optional
+from typing import Iterable, Optional
 
 from .errors import AuthorizationError, DecodeError, ParameterError
 from .key_center import KeyCenter
@@ -455,9 +455,6 @@ class Metrics:
         self.keygen_ops += n
 
 
-SignerFn = Callable[[bytes], bytes]
-
-
 @dataclass
 class CaNode:
     name: str
@@ -474,7 +471,6 @@ class CaNode:
     children: dict[str, "CaNode"] = field(default_factory=dict)
     rc: ResourceCert | None = None
     manifest: Manifest | None = None
-    signer: SignerFn | None = None   # hook for hardware-backed signing
     _serial: int = 0
 
     def __post_init__(self):
@@ -483,8 +479,6 @@ class CaNode:
             self.manifest = Manifest(self.name)
 
     def sign_payload(self, tbs: bytes) -> bytes:
-        if self.signer is not None:
-            return self.signer(tbs)
         return sign(self.sk, tbs)
 
     @property

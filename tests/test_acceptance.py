@@ -15,10 +15,9 @@ from conftest import make_center, register
 from ipkpq import pk_directory, pk_resolver
 from ipkpq.bench import (
     Scenario,
+    run_generation,
     run_overhead_accounting,
-    run_paired_generation,
-    run_paired_verification,
-    run_verification_bench,
+    run_verification,
 )
 from ipkpq.chain_validator import IpkpqValidator
 from ipkpq.drbg import Drbg
@@ -222,11 +221,11 @@ def test_criterion_06_op_count_laws():
     for depth in range(3, 9):
         scenario = Scenario(mode=MODE_STANDARD, depth=depth, roa_count=2,
                             rounds=1, matrix_dim=8)
-        rows = run_verification_bench(scenario)
+        rows = run_verification([scenario])
         assert rows[0].verify_ops == 2 * (depth + 1)
         scenario = Scenario(mode=MODE_IPKPQ, depth=depth, roa_count=2,
                             rounds=1, matrix_dim=8)
-        rows = run_verification_bench(scenario)
+        rows = run_verification([scenario])
         assert rows[0].verify_ops == 2 * 1
     report("criterion 6 (op-count laws)",
            "sign ops 2 vs 1 per ROA; verify ops depth+1 vs 1 for depths 3..8")
@@ -240,7 +239,7 @@ def test_criterion_07_throughput_ratios_at_depth_3():
     ipk = Scenario(mode=MODE_IPKPQ, level=44, depth=3, roa_count=25,
                    rounds=8, matrix_dim=8)
 
-    gen_rows = run_paired_generation(std, ipk)
+    gen_rows = run_generation([std, ipk])
     gen_median = {
         mode: statistics.median(r.roas_per_sec for r in gen_rows if r.mode == mode)
         for mode in (MODE_STANDARD, MODE_IPKPQ)
@@ -248,7 +247,7 @@ def test_criterion_07_throughput_ratios_at_depth_3():
     gen_ratio = gen_median[MODE_IPKPQ] / gen_median[MODE_STANDARD]
     assert gen_ratio >= 1.1, f"generation ratio {gen_ratio:.2f} below 1.1x"
 
-    ver_rows = run_paired_verification(std, ipk)
+    ver_rows = run_verification([std, ipk])
     ver_median = {
         mode: statistics.median(r.roas_per_sec for r in ver_rows if r.mode == mode)
         for mode in (MODE_STANDARD, MODE_IPKPQ)
@@ -286,22 +285,15 @@ def test_criterion_08_depth_scaling_trends():
     assert max(ipk_storage) / min(ipk_storage) <= 1.25
 
     # wall-time trend: depths visited round-robin (so machine drift cannot
-    # masquerade as a depth effect), median of 5 rounds of 20 validations
-    from ipkpq.bench import _prepare_verification, _verification_round
-
+    # masquerade as a depth effect), median of 5 warm rounds of 20
+    # validations; the cold round 0 warms the caches and is not timed
     def depth_times(mode):
-        setups = []
-        for depth in depths:
-            setup = _prepare_verification(
-                Scenario(mode=mode, depth=depth, roa_count=20, rounds=5,
-                         matrix_dim=8))
-            _verification_round(setup, 0)  # warm caches before timing
-            setups.append(setup)
-        samples = {d: [] for d in depths}
-        for round_idx in range(1, 6):
-            for depth, setup in zip(depths, setups):
-                samples[depth].append(_verification_round(setup, round_idx).run_s)
-        return [statistics.median(samples[d]) for d in depths]
+        rows = run_verification([
+            Scenario(mode=mode, depth=depth, roa_count=20, rounds=6, matrix_dim=8)
+            for depth in depths])
+        return [statistics.median(r.run_s for r in rows
+                                  if r.depth == d and r.cache == "warm")
+                for d in depths]
 
     std_times = depth_times(MODE_STANDARD)
     assert statistics.correlation(depths, std_times) > 0.9, \

@@ -10,11 +10,9 @@ from ipkpq.bench import (
     Scenario,
     emit_csv,
     parse_csv,
-    run_generation_bench,
+    run_generation,
     run_overhead_accounting,
-    run_paired_generation,
-    run_paired_verification,
-    run_verification_bench,
+    run_verification,
     summarize,
 )
 from ipkpq.errors import ParameterError
@@ -44,38 +42,39 @@ class TestScenario:
 class TestGeneration:
     def test_sign_op_closed_form(self):
         for mode, per_roa in (("standard", 2), ("ipkpq", 1)):
-            rows = run_generation_bench(scenario(mode, depth=4))
+            rows = run_generation([scenario(mode, depth=4)])
             for row in rows:
                 assert row.sign_ops == 4 + per_roa * row.roa_count  # depth RC signs
                 assert row.roas_per_sec > 0
                 assert row.roas_per_sec_steady >= row.roas_per_sec
 
     def test_keygen_accounting(self):
-        rows = run_generation_bench(scenario("standard"))
+        rows = run_generation([scenario("standard")])
         assert rows[0].keygen_ops == 3 + rows[0].roa_count  # CAs + EE keys
-        rows = run_generation_bench(scenario("ipkpq"))
+        rows = run_generation([scenario("ipkpq")])
         assert rows[0].keygen_ops == 3
 
     def test_zero_roa_round_records_setup_only(self):
-        rows = run_generation_bench(scenario("ipkpq", roa_count=0, rounds=1))
+        rows = run_generation([scenario("ipkpq", roa_count=0, rounds=1)])
         assert len(rows) == 1
         assert rows[0].roas_per_sec is None
         assert rows[0].roas_per_sec_steady is None
         assert rows[0].setup_s > 0
 
     def test_paired_rounds_interleave(self):
-        rows = run_paired_generation(scenario("standard"), scenario("ipkpq"))
+        rows = run_generation([scenario("standard"), scenario("ipkpq")])
         assert [r.mode for r in rows] == ["standard", "ipkpq"] * 2
         assert rows[0].round == rows[1].round == 0
 
     def test_paired_requires_matching_rounds(self):
         with pytest.raises(ParameterError):
-            run_paired_generation(scenario("standard"),
-                                  scenario("ipkpq", rounds=3))
+            run_generation([scenario("standard"), scenario("ipkpq", rounds=3)])
+        with pytest.raises(ParameterError):
+            run_verification([scenario("standard"), scenario("ipkpq", rounds=3)])
 
     def test_deterministic_accounting_across_reruns(self):
-        a = run_generation_bench(scenario("ipkpq", seed=5))
-        b = run_generation_bench(scenario("ipkpq", seed=5))
+        a = run_generation([scenario("ipkpq", seed=5)])
+        b = run_generation([scenario("ipkpq", seed=5)])
         assert [(r.sign_ops, r.keygen_ops) for r in a] == \
                [(r.sign_ops, r.keygen_ops) for r in b]
 
@@ -83,7 +82,7 @@ class TestGeneration:
         # generation is linear in chain depth for both key-management styles
         for mode in ("standard", "ipkpq"):
             per_depth = [
-                run_generation_bench(scenario(mode, depth=d, rounds=1))[0].sign_ops
+                run_generation([scenario(mode, depth=d, rounds=1)])[0].sign_ops
                 for d in (3, 4, 5, 6)
             ]
             assert per_depth == sorted(per_depth)
@@ -93,19 +92,19 @@ class TestGeneration:
 class TestVerification:
     def test_verify_op_law(self):
         for depth in (3, 5):
-            rows = run_verification_bench(scenario("standard", depth=depth))
+            rows = run_verification([scenario("standard", depth=depth)])
             assert all(r.verify_ops == (depth + 1) * r.roa_count for r in rows)
-            rows = run_verification_bench(scenario("ipkpq", depth=depth))
+            rows = run_verification([scenario("ipkpq", depth=depth)])
             assert all(r.verify_ops == r.roa_count for r in rows)
 
     def test_cold_then_warm_cache_labels(self):
-        rows = run_verification_bench(scenario("ipkpq", rounds=3))
+        rows = run_verification([scenario("ipkpq", rounds=3)])
         assert [r.cache for r in rows] == ["cold", "warm", "warm"]
         assert rows[0].bytes_fetched > rows[1].bytes_fetched  # matrix amortized
         assert rows[1].bytes_fetched == rows[2].bytes_fetched
 
     def test_paired_verification(self):
-        rows = run_paired_verification(scenario("standard"), scenario("ipkpq"))
+        rows = run_verification([scenario("standard"), scenario("ipkpq")])
         std = [r for r in rows if r.mode == "standard"]
         ipk = [r for r in rows if r.mode == "ipkpq"]
         assert all(r.roas_per_sec > 0 for r in rows)
@@ -140,7 +139,7 @@ class TestOverhead:
 
 class TestReporting:
     def test_csv_round_trip(self):
-        rows = run_generation_bench(scenario("ipkpq", rounds=1))
+        rows = run_generation([scenario("ipkpq", rounds=1)])
         text = emit_csv(rows)
         parsed = parse_csv(text)
         assert len(parsed) == 1
@@ -149,7 +148,7 @@ class TestReporting:
         assert list(parsed[0].keys()) == CSV_COLUMNS
 
     def test_csv_blank_for_omitted_throughput(self):
-        rows = run_generation_bench(scenario("ipkpq", roa_count=0, rounds=1))
+        rows = run_generation([scenario("ipkpq", roa_count=0, rounds=1)])
         parsed = parse_csv(emit_csv(rows))
         assert parsed[0]["roas_per_sec"] == ""
 
@@ -160,7 +159,7 @@ class TestReporting:
         assert emit_csv(rows) == emit_csv(rows)
 
     def test_summary_prints_mode_ratio(self):
-        rows = run_paired_verification(scenario("standard"), scenario("ipkpq"))
+        rows = run_verification([scenario("standard"), scenario("ipkpq")])
         text = summarize(rows)
         assert "ratio" in text and "ipkpq" in text and "standard" in text
 

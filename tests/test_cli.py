@@ -3,6 +3,7 @@
 import json
 import stat
 
+from ipkpq.bench import parse_csv
 from ipkpq.cli import main
 
 
@@ -146,3 +147,20 @@ class TestBenchCommand:
                    "--mode", "ipkpq") == 0
         out = capsys.readouterr().out
         assert "overhead" in out
+
+    def test_bench_verify_interleaves_depths_and_modes(self, tmp_path, capsys):
+        out_csv = tmp_path / "verify.csv"
+        assert run(tmp_path, "bench", "verify", "--depth", "3..4", "--mode", "both",
+                   "--roas", "2", "--rounds", "2", "--out", str(out_csv)) == 0
+        rows = parse_csv(out_csv.read_text())
+        per_round = [(3, "standard"), (3, "ipkpq"), (4, "standard"), (4, "ipkpq")]
+        assert [(int(r["depth"]), r["mode"]) for r in rows] == per_round * 2
+        assert [int(r["round"]) for r in rows] == [0] * 4 + [1] * 4
+        assert {r["scenario"] for r in rows} == {
+            f"{mode}-L44-d{depth}-n2-s0" for depth, mode in per_round}
+
+        out_csv.unlink()
+        assert run(tmp_path, "bench", "verify", "--depth", "3..4", "--mode", "ipkpq",
+                   "--roas", "2", "--rounds", "2", "--out", str(out_csv)) == 0
+        rows = parse_csv(out_csv.read_text())
+        assert len(rows) == 4 and {r["mode"] for r in rows} == {"ipkpq"}

@@ -1,10 +1,12 @@
 """Key-center lifecycle: sealed storage, registration log, File_PK upkeep."""
 
+import os
+import stat
 from datetime import timedelta
 
 import pytest
 
-from conftest import NOW, WINDOW, make_center, register
+from conftest import WINDOW, make_center, register
 from ipkpq import pk_directory, pk_resolver
 from ipkpq.drbg import Drbg
 from ipkpq.errors import ConflictError, ParameterError, StateError
@@ -117,7 +119,7 @@ class TestRenewRevoke:
         run_keygen(center, "APNIC", Drbg("ca1"))
         center.revoke("APNIC")
         assert center.record("APNIC").status == STATUS_REVOKED
-        assert not center.record("APNIC").is_active(NOW)
+        assert center.registration_table().get("APNIC").status == STATUS_REVOKED
 
 
 class TestPublication:
@@ -191,3 +193,40 @@ class TestPersistence:
         assert sealed["priv_matrix"].entry(0, 0) not in blob
         assert sealed["reg_secrets"]["APNIC"] not in blob
         assert sealed["kc_rho"] not in blob
+
+    def test_sealing_key_is_owner_only_from_creation(self, tmp_path, center,
+                                                     monkeypatch):
+        # with chmod a no-op, only the mode given at creation protects the key
+        monkeypatch.setattr(os, "chmod", lambda *args, **kwargs: None)
+        old_umask = os.umask(0o022)
+        try:
+            center.save(tmp_path)
+        finally:
+            os.umask(old_umask)
+        assert stat.S_IMODE((tmp_path / "hsm.key").stat().st_mode) == 0o600
+
+    def test_failed_save_keeps_previous_file_pk(self, tmp_path, center,
+                                                monkeypatch):
+        register(center, "APNIC")
+        run_keygen(center, "APNIC", Drbg("ca1"))
+        center.save(tmp_path)
+        before = (tmp_path / "file_pk.bin").read_bytes()
+        register(center, "CNNIC", seed="r2")
+        run_keygen(center, "CNNIC", Drbg("ca2"))
+        assert center.publish_file_pk() != before
+
+        real_replace = os.replace
+
+        def failing_replace(src, dst):
+            if os.path.basename(dst) == "file_pk.bin":
+                raise OSError("disk full")
+            return real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", failing_replace)
+        with pytest.raises(OSError):
+            center.save(tmp_path)
+        monkeypatch.undo()
+        assert (tmp_path / "file_pk.bin").read_bytes() == before
+        assert not list(tmp_path.glob("*.tmp"))
+        loaded = KeyCenter.load(tmp_path)
+        assert loaded.publish_file_pk() == before

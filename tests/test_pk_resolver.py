@@ -2,7 +2,9 @@
 
 import socket
 import struct
+import threading
 import time
+from contextlib import contextmanager
 
 import pytest
 
@@ -11,7 +13,7 @@ from ipkpq import pk_directory, pk_resolver
 from ipkpq.drbg import Drbg
 from ipkpq.errors import DecodeError, TransportError
 from ipkpq.keygen_protocol import run_keygen
-from ipkpq.mldsa import decode_rho
+from ipkpq.mldsa import LEVELS, decode_rho
 from ipkpq.pk_resolver import (
     FileResolver,
     OnlineResolver,
@@ -92,6 +94,38 @@ class TestOffline:
         assert first == matrix_bytes + record_len
         resolver.resolve("CA0", results["CA0"].R)
         assert resolver.bytes_fetched == first + record_len  # matrix cached
+
+
+@contextmanager
+def scripted_server(*answers):
+    """Answer the i-th connection's request with answers[i](conn); yields the endpoint."""
+    listener = socket.create_server(("127.0.0.1", 0))
+    listener.settimeout(10)
+
+    def serve():
+        for answer in answers:
+            conn, _ = listener.accept()
+            with conn:
+                try:
+                    pk_resolver._recv_msg(conn, pk_resolver.MAX_REQUEST_BYTES,
+                                          time.monotonic() + 10)
+                    answer(conn)
+                except OSError:
+                    pass  # the client hung up first
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    try:
+        yield listener.getsockname()
+    finally:
+        thread.join(timeout=10)
+        listener.close()
+
+
+def wait_for_hangup(conn):
+    conn.settimeout(10)
+    while conn.recv(1 << 16):
+        pass
 
 
 class TestOnline:
@@ -200,6 +234,25 @@ class TestOnline:
         finally:
             server.stop()
 
+    def test_trickling_client_is_cut_off_at_the_deadline(self, setup, monkeypatch):
+        monkeypatch.setattr(pk_resolver, "HANDLER_TIMEOUT_S", 0.3)
+        center, _ = setup
+        server = PkQueryServer(center.publish_file_pk()).start()
+        try:
+            with socket.create_connection(server.endpoint, timeout=5) as sock:
+                sock.sendall(struct.pack(">I", pk_resolver.MAX_REQUEST_BYTES))
+                start = time.monotonic()
+                try:
+                    # a byte per 50 ms never trips a per-read timeout
+                    while time.monotonic() - start < 4:
+                        sock.sendall(b"\x02")
+                        time.sleep(0.05)
+                except OSError:
+                    pass  # the server hung up
+                assert time.monotonic() - start < 2
+        finally:
+            server.stop()
+
     def test_idle_client_is_disconnected(self, setup, monkeypatch):
         monkeypatch.setattr(pk_resolver, "HANDLER_TIMEOUT_S", 0.2)
         center, _ = setup
@@ -211,3 +264,67 @@ class TestOnline:
                 assert time.monotonic() - start < 4
         finally:
             server.stop()
+
+    def test_response_caps_follow_the_header_format(self):
+        # the matrix cap is the region of the largest header that decodes:
+        # u16 m at its maximum with h = 16 (h = 32 would allow only m <= 256)
+        largest = pk_directory.FilePkHeader(LEVELS[44], 0xFFFF, 16).encode()
+        assert pk_directory.decode_header(largest).record_region_offset \
+            == pk_resolver.MAX_MATRIX_RESPONSE
+        with pytest.raises(DecodeError):
+            pk_directory.decode_header(
+                pk_directory.FilePkHeader(LEVELS[44], 257, 32).encode())
+
+    def test_oversize_response_is_refused_unread(self, monkeypatch):
+        def claim_4gib(conn):
+            conn.sendall(struct.pack(">I", 0xFFFFFFFF) + b"\x00" * 4096)
+            wait_for_hangup(conn)
+
+        asked = []
+        real_recv_exact = pk_resolver._recv_exact
+
+        def spy(sock, n, deadline):
+            if threading.current_thread() is threading.main_thread():  # the client
+                asked.append(n)
+            return real_recv_exact(sock, n, deadline)
+
+        monkeypatch.setattr(pk_resolver, "_recv_exact", spy)
+        with scripted_server(claim_4gib) as endpoint:
+            with pytest.raises(TransportError, match="exceeds"):
+                OnlineResolver(endpoint).resolve("CA0", b"\x00" * 32)
+        assert asked == [4]  # the length prefix only, never the body
+
+    def test_record_response_capped_at_one_plus_pk_len(self, setup):
+        center, results = setup
+        file = center.publish_file_pk()
+        region = file[:pk_directory.decode_header(file).record_region_offset]
+        pk_len = LEVELS[44].pk_len
+
+        def serve_matrix(conn):
+            pk_resolver._send_msg(conn, region)
+
+        def overlong_record(conn):
+            conn.sendall(struct.pack(">I", 2 + pk_len))
+            wait_for_hangup(conn)
+
+        with scripted_server(serve_matrix, overlong_record) as endpoint:
+            with pytest.raises(TransportError, match=f"{1 + pk_len}-byte limit"):
+                OnlineResolver(endpoint).resolve("CA0", results["CA0"].R)
+
+    def test_trickling_server_is_cut_off_at_the_deadline(self):
+        stop = threading.Event()
+
+        def trickle(conn):
+            conn.sendall(struct.pack(">I", 1000))
+            while not stop.wait(0.05):  # a byte per 50 ms never trips a per-read timeout
+                conn.sendall(b"\x00")
+
+        with scripted_server(trickle) as endpoint:
+            start = time.monotonic()
+            try:
+                with pytest.raises(TransportError):
+                    OnlineResolver(endpoint, timeout=0.5).resolve("CA0", b"\x00" * 32)
+                elapsed = time.monotonic() - start
+            finally:
+                stop.set()
+        assert elapsed < 2.0

@@ -206,22 +206,6 @@ class TestIssuance:
             assert metrics.sign_ops == 5 * expected
             assert metrics.keygen_ops == (5 if mode == MODE_STANDARD else 0)
 
-    def test_pluggable_signer_hook(self):
-        # a wrapped signer (e.g. a hardware offload) slots in per CA node
-        from ipkpq.mldsa import sign as sw_sign
-
-        _, leaf, _, _, _, rng = build_tree(MODE_IPKPQ, seed="hook")
-        calls = []
-
-        def counting_signer(tbs: bytes) -> bytes:
-            calls.append(len(tbs))
-            return sw_sign(leaf.sk, tbs)
-
-        leaf.signer = counting_signer
-        roa = issue_roa(leaf, InrSet.of(["10.0.0.0/24"]), rng=rng)
-        assert len(calls) == 1
-        assert RoaObject.decode(roa.encode()) == roa
-
     def test_standard_ee_keys_are_fresh_per_roa(self):
         _, leaf, _, _, _, rng = build_tree(MODE_STANDARD, seed="fresh")
         roas = [issue_roa(leaf, InrSet.of(["10.0.0.0/24"]), rng=rng)

@@ -238,7 +238,8 @@ class KeyCenter:
             if new_valid_to <= record.valid_from:
                 raise ParameterError("renewed validity must extend past valid_from")
             self.store.new_reg_secret(id_, rng)
-            updated = replace(record, status=STATUS_RENEWING, valid_to=new_valid_to)
+            updated = replace(record, R=None, status=STATUS_RENEWING,
+                              valid_to=new_valid_to)
             self._append(updated)
             return updated
 
@@ -267,16 +268,26 @@ class KeyCenter:
     # -- protocol hooks (called by the keygen protocol) ------------------
 
     def keygen_allowed(self, id_: str) -> RegistrationRecord:
+        """One key generation per registration secret; a retry needs `renew`.
+
+        Every run masks a different private partial with the same secret, so
+        two answers under one secret would give away the difference of two
+        partials, a linear relation between private-matrix cells.
+        """
         record = self._lookup(id_)
         if record.status not in (STATUS_REGISTERED, STATUS_RENEWING):
             raise StateError(
                 f"{id_!r} is {record.status}; key generation needs a fresh or "
                 f"renewing registration")
+        if record.R is not None:
+            raise StateError(
+                f"{id_!r} already answered a key generation under its current "
+                f"registration secret; renew it to retry")
         return record
 
     def finalize_r(self, id_: str, r_value: bytes) -> None:
         with self._lock:
-            record = self._lookup(id_)
+            record = self.keygen_allowed(id_)
             self._append(replace(record, R=r_value))
 
     def commit_pk(self, id_: str, pk: bytes) -> None:

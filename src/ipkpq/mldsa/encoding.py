@@ -1,4 +1,10 @@
-"""Bit-packing and key/signature byte encodings (FIPS 204 Algorithms 16-28)."""
+"""Bit-packing and key/signature byte encodings (FIPS 204 Algorithms 16-28).
+
+Every packer takes a stack of polynomials, an array of shape (..., 256),
+and writes them one after another; every unpacker returns the stack of
+shape (n, 256) that its byte string holds. A vector field of a key or a
+signature is therefore one call, never a loop over its polynomials.
+"""
 
 from __future__ import annotations
 
@@ -9,15 +15,15 @@ from .params import D, MlDsaLevel, N, Q
 
 
 def bit_pack(coeffs: np.ndarray, bits: int) -> bytes:
-    """SimpleBitPack: 256 coefficients in [0, 2^bits), LSB-first bit stream."""
-    mat = ((coeffs[:, None] >> np.arange(bits)) & 1).astype(np.uint8)
+    """SimpleBitPack: coefficients in [0, 2^bits), LSB-first bit stream."""
+    mat = ((coeffs[..., None] >> np.arange(bits)) & 1).astype(np.uint8)
     return np.packbits(mat.ravel(), bitorder="little").tobytes()
 
 
 def bit_unpack(data: bytes, bits: int) -> np.ndarray:
-    """Inverse of bit_pack; expects exactly 32*bits bytes."""
+    """Inverse of bit_pack; expects a multiple of 32*bits bytes."""
     raw = np.unpackbits(np.frombuffer(data, dtype=np.uint8), bitorder="little")
-    mat = raw.reshape(N, bits).astype(np.int64)
+    mat = raw.reshape(-1, N, bits).astype(np.int64)
     return mat @ (np.int64(1) << np.arange(bits, dtype=np.int64))
 
 
@@ -31,79 +37,42 @@ def _unpack_mapped(data: bytes, top: int, bits: int) -> np.ndarray:
 
 
 def pk_encode(rho: bytes, t1: np.ndarray) -> bytes:
-    out = bytearray(rho)
-    for poly in t1:
-        out += bit_pack(poly, 10)
-    return bytes(out)
+    return rho + bit_pack(t1, 10)
 
 
 def pk_decode(pk: bytes, level: MlDsaLevel) -> tuple[bytes, np.ndarray]:
     if len(pk) != level.pk_len:
         raise DecodeError(f"public key must be {level.pk_len} bytes, got {len(pk)}")
-    rho = pk[:32]
-    step = N * 10 // 8
-    t1 = np.stack([
-        bit_unpack(pk[32 + i * step:32 + (i + 1) * step], 10) for i in range(level.k)
-    ])
-    return rho, t1
+    return pk[:32], bit_unpack(pk[32:], 10)
 
 
 def sk_encode(rho: bytes, key: bytes, tr: bytes, s1: np.ndarray, s2: np.ndarray,
               t0: np.ndarray, level: MlDsaLevel) -> bytes:
-    out = bytearray(rho + key + tr)
-    for poly in s1:
-        out += _pack_mapped(poly, level.eta, level.eta_bits)
-    for poly in s2:
-        out += _pack_mapped(poly, level.eta, level.eta_bits)
-    half = 1 << (D - 1)
-    for poly in t0 % Q:
-        out += _pack_mapped(poly, half, D)
-    return bytes(out)
+    return (rho + key + tr
+            + _pack_mapped(np.concatenate([s1, s2]), level.eta, level.eta_bits)
+            + _pack_mapped(t0, 1 << (D - 1), D))
 
 
 def sk_decode(sk: bytes, level: MlDsaLevel):
     if len(sk) != level.sk_len:
         raise DecodeError(f"secret key must be {level.sk_len} bytes, got {len(sk)}")
-    rho, key, tr = sk[:32], sk[32:64], sk[64:128]
-    off = 128
-    step = N * level.eta_bits // 8
-    s1 = np.stack([
-        _unpack_mapped(sk[off + i * step:off + (i + 1) * step], level.eta, level.eta_bits)
-        for i in range(level.l)
-    ])
-    off += level.l * step
-    s2 = np.stack([
-        _unpack_mapped(sk[off + i * step:off + (i + 1) * step], level.eta, level.eta_bits)
-        for i in range(level.k)
-    ])
-    off += level.k * step
-    step = N * D // 8
-    half = 1 << (D - 1)
-    t0 = np.stack([
-        _unpack_mapped(sk[off + i * step:off + (i + 1) * step], half, D)
-        for i in range(level.k)
-    ])
-    return rho, key, tr, s1, s2, t0
+    t0_off = 128 + (level.l + level.k) * N * level.eta_bits // 8
+    s = _unpack_mapped(sk[128:t0_off], level.eta, level.eta_bits)
+    t0 = _unpack_mapped(sk[t0_off:], 1 << (D - 1), D)
+    return sk[:32], sk[32:64], sk[64:128], s[:level.l], s[level.l:], t0
 
 
 def w1_encode(w1: np.ndarray, level: MlDsaLevel) -> bytes:
-    out = bytearray()
-    for poly in w1:
-        out += bit_pack(poly, level.w1_bits)
-    return bytes(out)
+    return bit_pack(w1, level.w1_bits)
 
 
 def hint_pack(h: np.ndarray, level: MlDsaLevel) -> bytes:
     """HintBitPack (Algorithm 20): omega index bytes plus k cumulative counts."""
-    buf = bytearray(level.omega + level.k)
-    idx = 0
-    for i in range(level.k):
-        ones = np.nonzero(h[i])[0]
-        for j in ones:
-            buf[idx] = int(j)
-            idx += 1
-        buf[level.omega + i] = idx
-    return bytes(buf)
+    buf = np.zeros(level.omega + level.k, dtype=np.uint8)
+    cols = np.nonzero(h)[1]  # row-major: increasing within each polynomial
+    buf[:cols.shape[0]] = cols
+    buf[level.omega:] = np.cumsum(np.count_nonzero(h, axis=1))
+    return buf.tobytes()
 
 
 def hint_unpack(data: bytes, level: MlDsaLevel) -> np.ndarray | None:
@@ -114,37 +83,27 @@ def hint_unpack(data: bytes, level: MlDsaLevel) -> np.ndarray | None:
         end = data[level.omega + i]
         if end < idx or end > level.omega:
             return None
-        for j in range(idx, end):
-            if j > idx and data[j] <= data[j - 1]:
-                return None
-            h[i][data[j]] = 1
+        ones = data[idx:end]
+        if any(b <= a for a, b in zip(ones, ones[1:])):
+            return None
+        h[i, list(ones)] = 1
         idx = end
-    if any(data[j] != 0 for j in range(idx, level.omega)):
+    if any(data[idx:level.omega]):
         return None
     return h
 
 
 def sig_encode(ctilde: bytes, z: np.ndarray, h: np.ndarray, level: MlDsaLevel) -> bytes:
-    out = bytearray(ctilde)
-    for poly in z:
-        out += _pack_mapped(poly, level.gamma1, level.z_bits)
-    out += hint_pack(h, level)
-    return bytes(out)
+    return ctilde + _pack_mapped(z, level.gamma1, level.z_bits) + hint_pack(h, level)
 
 
 def sig_decode(sig: bytes, level: MlDsaLevel):
     """Returns (ctilde, z, h) or None when the hint region is malformed."""
     if len(sig) != level.sig_len:
         raise ParameterError(f"signature must be {level.sig_len} bytes, got {len(sig)}")
-    ctilde = sig[:level.ctilde_bytes]
-    off = level.ctilde_bytes
-    step = N * level.z_bits // 8
-    z = np.stack([
-        _unpack_mapped(sig[off + i * step:off + (i + 1) * step], level.gamma1, level.z_bits)
-        for i in range(level.l)
-    ])
-    off += level.l * step
-    h = hint_unpack(sig[off:], level)
+    h_off = level.sig_len - level.omega - level.k
+    h = hint_unpack(sig[h_off:], level)
     if h is None:
         return None
-    return ctilde, z, h
+    z = _unpack_mapped(sig[level.ctilde_bytes:h_off], level.gamma1, level.z_bits)
+    return sig[:level.ctilde_bytes], z, h

@@ -12,6 +12,7 @@ import struct
 
 import numpy as np
 
+from .encoding import bit_unpack
 from .params import MlDsaLevel, N, Q
 
 
@@ -68,15 +69,10 @@ def expand_s(rho_prime: bytes, level: MlDsaLevel) -> tuple[np.ndarray, np.ndarra
 
 def expand_mask(rho_pp: bytes, kappa: int, level: MlDsaLevel) -> np.ndarray:
     """Masking vector y of shape (l, 256) with coefficients in (-gamma1, gamma1]."""
-    from .encoding import bit_unpack  # local import to avoid a cycle
-
     c = level.z_bits
-    polys = []
-    for j in range(level.l):
-        v = hashlib.shake_256(rho_pp + struct.pack("<H", kappa + j)).digest(32 * c)
-        w = bit_unpack(v, c)
-        polys.append((level.gamma1 - w) % Q)
-    return np.stack(polys)
+    v = b"".join(hashlib.shake_256(rho_pp + struct.pack("<H", kappa + j)).digest(32 * c)
+                 for j in range(level.l))
+    return (level.gamma1 - bit_unpack(v, c)) % Q
 
 
 def sample_in_ball(ctilde: bytes, tau: int) -> np.ndarray:

@@ -71,6 +71,8 @@ _T_EE_CERT = 0x24
 _T_MFT_ENTRY = 0x25
 
 AS_MAX = (1 << 32) - 1
+# (family tag, address length) of an encoded prefix -> its network type
+_NETWORKS = {(4, 4): ipaddress.IPv4Network, (6, 16): ipaddress.IPv6Network}
 
 
 def sha_digest(data: bytes) -> bytes:
@@ -119,6 +121,13 @@ def _u64(value: bytes, off: int) -> int:
     if len(value) != 8:
         raise DecodeError("expected a u64 value", offset=off)
     return struct.unpack(">Q", value)[0]
+
+
+def _text(value: bytes, off: int) -> str:
+    try:
+        return value.decode("utf-8")
+    except UnicodeDecodeError:
+        raise DecodeError("text field is not valid UTF-8", offset=off) from None
 
 
 # -- internet number resources -------------------------------------------
@@ -177,17 +186,20 @@ class InrSet:
                     raise DecodeError("short prefix field", offset=off)
                 version, plen = val[0], val[1]
                 addr = val[2:]
-                if version == 4 and len(addr) == 4:
-                    net = ipaddress.IPv4Network((addr, plen))
-                elif version == 6 and len(addr) == 16:
-                    net = ipaddress.IPv6Network((addr, plen))
-                else:
+                network = _NETWORKS.get((version, len(addr)))
+                if network is None:
                     raise DecodeError(f"bad prefix family {version}", offset=off)
-                prefixes.append(net)
+                try:  # a length beyond the family, or host bits set
+                    prefixes.append(network((addr, plen)))
+                except ValueError as exc:
+                    raise DecodeError(f"bad prefix: {exc}", offset=off) from None
             elif tag == _T_AS_RANGE:
                 if len(val) != 8:
                     raise DecodeError("AS range must be 8 bytes", offset=off)
-                ranges.append(struct.unpack(">II", val))
+                lo, hi = struct.unpack(">II", val)
+                if lo > hi:
+                    raise DecodeError(f"AS range [{lo}, {hi}] is reversed", offset=off)
+                ranges.append((lo, hi))
             else:
                 raise DecodeError(f"unexpected tag 0x{tag:02x} inside resources",
                                   offset=off)
@@ -246,10 +258,11 @@ class ResourceCert:
         return replace(self, signature=b"").encode()
 
     @classmethod
-    def decode(cls, data: bytes) -> "ResourceCert":
-        outer = _parse_tlvs(data)
+    def decode(cls, data: bytes, base: int = 0) -> "ResourceCert":
+        """`base` is where `data` starts in the enclosing object, for error offsets."""
+        outer = _parse_tlvs(data, base)
         if len(outer) != 1 or outer[0][0] != _T_RC:
-            raise DecodeError("expected a single resource-certificate TLV", offset=0)
+            raise DecodeError("expected a single resource-certificate TLV", offset=base)
         return cls._decode_body(outer[0][1], outer[0][2] + 5)
 
     @classmethod
@@ -260,18 +273,18 @@ class ResourceCert:
             raise DecodeError("unknown mode tag", offset=off)
         mode = _MODE_NAMES[mode_v[0]]
         serial = _u64(*_expect(f, 1, _T_SERIAL))
-        issuer = _expect(f, 2, _T_ISSUER)[0].decode("utf-8")
-        subject = _expect(f, 3, _T_SUBJECT)[0].decode("utf-8")
+        issuer = _text(*_expect(f, 2, _T_ISSUER))
+        subject = _text(*_expect(f, 3, _T_SUBJECT))
         valid_from = _u64(*_expect(f, 4, _T_VALID_FROM))
         valid_to = _u64(*_expect(f, 5, _T_VALID_TO))
         inr_v, inr_off = _expect(f, 6, _T_INR)
         inr = InrSet.decode_value(inr_v, inr_off + 5)
         ski = _expect(f, 7, _T_SKI)[0]
         aki = _expect(f, 8, _T_AKI)[0]
-        crl_uri = _expect(f, 9, _T_CRL_URI)[0].decode("utf-8")
-        aia_uri = _expect(f, 10, _T_AIA_URI)[0].decode("utf-8")
-        repo_uri = _expect(f, 11, _T_REPO_URI)[0].decode("utf-8")
-        mft_uri = _expect(f, 12, _T_MFT_URI)[0].decode("utf-8")
+        crl_uri = _text(*_expect(f, 9, _T_CRL_URI))
+        aia_uri = _text(*_expect(f, 10, _T_AIA_URI))
+        repo_uri = _text(*_expect(f, 11, _T_REPO_URI))
+        mft_uri = _text(*_expect(f, 12, _T_MFT_URI))
         spki: bytes | tuple[str, bytes]
         if mode == MODE_STANDARD:
             spki = _expect(f, 13, _T_SPKI_PK)[0]
@@ -279,7 +292,7 @@ class ResourceCert:
             raw, off = _expect(f, 13, _T_SPKI_ID)
             if len(raw) < 33:
                 raise DecodeError("identity SPKI too short", offset=off)
-            spki = (raw[32:].decode("utf-8"), raw[:32])
+            spki = (_text(raw[32:], off), raw[:32])
         signature = _expect(f, 14, _T_SIGNATURE)[0]
         if len(f) != 15:
             raise DecodeError("trailing fields in certificate", offset=f[15][2])
@@ -325,22 +338,22 @@ class RoaObject:
         if len(mode_v) != 1 or mode_v[0] not in _MODE_NAMES:
             raise DecodeError("unknown mode tag", offset=off)
         mode = _MODE_NAMES[mode_v[0]]
-        signer = _expect(f, 1, _T_SIGNER)[0].decode("utf-8")
+        signer = _text(*_expect(f, 1, _T_SIGNER))
         inr_v, inr_off = _expect(f, 2, _T_INR)
         inr = InrSet.decode_value(inr_v, inr_off + 5)
         if mode == MODE_IPKPQ:
             raw, off = _expect(f, 3, _T_SPKI_ID)
             if len(raw) < 33:
                 raise DecodeError("identity SPKI too short", offset=off)
-            if raw[32:].decode("utf-8") != signer:
+            if _text(raw[32:], off) != signer:
                 raise DecodeError("SPKI identity disagrees with signer name", offset=off)
             signature = _expect(f, 4, _T_SIGNATURE)[0]
             if len(f) != 5:
                 raise DecodeError("trailing fields in ROA", offset=f[5][2])
             return cls(mode, signer, inr, signer_r=raw[:32], signature=signature)
         ee_pk = _expect(f, 3, _T_EE_PK)[0]
-        ee_raw, _ = _expect(f, 4, _T_EE_CERT)
-        ee_cert = ResourceCert.decode(ee_raw)
+        ee_raw, ee_off = _expect(f, 4, _T_EE_CERT)
+        ee_cert = ResourceCert.decode(ee_raw, ee_off + 5)
         signature = _expect(f, 5, _T_SIGNATURE)[0]
         if len(f) != 6:
             raise DecodeError("trailing fields in ROA", offset=f[6][2])
@@ -375,14 +388,14 @@ class Manifest:
         if len(outer) != 1 or outer[0][0] != _T_MFT:
             raise DecodeError("expected a single manifest TLV", offset=0)
         f = _parse_tlvs(outer[0][1], outer[0][2] + 5)
-        name = _expect(f, 0, _T_SUBJECT)[0].decode("utf-8")
+        name = _text(*_expect(f, 0, _T_SUBJECT))
         entries = []
         for tag, val, off in f[1:]:
             if tag != _T_MFT_ENTRY:
                 raise DecodeError(f"unexpected tag 0x{tag:02x} in manifest", offset=off)
             if len(val) < 32:
                 raise DecodeError("manifest entry shorter than its digest", offset=off)
-            entries.append(ManifestEntry(val[32:].decode("utf-8"), val[:32]))
+            entries.append(ManifestEntry(_text(val[32:], off), val[:32]))
         return cls(name, tuple(entries))
 
     def with_entry(self, entry: ManifestEntry) -> "Manifest":

@@ -13,7 +13,10 @@ are read big-endian, left to right, in h equal segments of 256/h bits;
 segment i taken mod m is the row selected for column i.
 
 Seed combination is byte-wise addition mod 256 (no carries), which is
-commutative, associative, and has the all-zero string as identity.
+commutative, associative, and has the all-zero string as identity. A
+matrix holds its cells as one (m, h, width) uint8 array, so combining the
+selected cells is one uint8 sum over the column axis, whose wraparound is
+exactly this addition.
 """
 
 from __future__ import annotations
@@ -22,6 +25,8 @@ import hashlib
 import secrets
 from dataclasses import dataclass
 from typing import Callable, Sequence
+
+import numpy as np
 
 from .errors import ParameterError
 
@@ -75,29 +80,26 @@ class IdentityHandle:
 
 
 class _SeedMatrix:
-    """Immutable m x h grid of fixed-width seeds, row-major."""
+    """Immutable m x h grid of fixed-width seeds: one (m, h, seed_len) uint8 array."""
 
     seed_len: int = 0
 
-    def __init__(self, m: int, h: int, entries: Sequence[bytes]):
-        validate_dims(m, h)
-        if len(entries) != m * h:
-            raise ParameterError(f"expected {m * h} entries, got {len(entries)}")
-        for e in entries:
-            if len(e) != self.seed_len:
-                raise ParameterError(
-                    f"matrix entries must be {self.seed_len} bytes, got {len(e)}")
-        self.m = m
-        self.h = h
-        self._entries = tuple(bytes(e) for e in entries)
+    def __init__(self, cells: np.ndarray):
+        if cells.dtype != np.uint8 or cells.ndim != 3 or cells.shape[2] != self.seed_len:
+            raise ParameterError(
+                f"cells must be a uint8 array of shape (m, h, {self.seed_len})")
+        self.m, self.h = cells.shape[:2]
+        validate_dims(self.m, self.h)
+        self.cells = cells.copy()
+        self.cells.flags.writeable = False
 
     def entry(self, row: int, col: int) -> bytes:
         if not (0 <= row < self.m and 0 <= col < self.h):
             raise ParameterError(f"cell ({row}, {col}) outside {self.m}x{self.h}")
-        return self._entries[row * self.h + col]
+        return self.cells[row, col].tobytes()
 
     def to_bytes(self) -> bytes:
-        return b"".join(self._entries)
+        return self.cells.tobytes()
 
     @classmethod
     def from_bytes(cls, m: int, h: int, blob: bytes):
@@ -105,14 +107,13 @@ class _SeedMatrix:
         if len(blob) != m * h * width:
             raise ParameterError(
                 f"matrix blob must be {m * h * width} bytes, got {len(blob)}")
-        return cls(m, h, [blob[i * width:(i + 1) * width] for i in range(m * h)])
+        return cls(np.frombuffer(blob, dtype=np.uint8).reshape(m, h, width))
 
     def __eq__(self, other) -> bool:
-        return (type(self) is type(other) and self.m == other.m
-                and self.h == other.h and self._entries == other._entries)
+        return type(self) is type(other) and np.array_equal(self.cells, other.cells)
 
     def __hash__(self):
-        return hash((type(self), self.m, self.h, self._entries))
+        return hash((type(self), self.cells.shape, self.to_bytes()))
 
 
 class SeedMatrixPriv(_SeedMatrix):
@@ -128,8 +129,8 @@ def gen_matrices(m: int, h: int,
                  ) -> tuple[SeedMatrixPriv, SeedMatrixPub]:
     """Sample independent private (64B cells) and public (32B cells) matrices."""
     validate_dims(m, h)
-    priv = SeedMatrixPriv(m, h, [rng(64) for _ in range(m * h)])
-    pub = SeedMatrixPub(m, h, [rng(32) for _ in range(m * h)])
+    priv = SeedMatrixPriv.from_bytes(m, h, rng(m * h * 64))
+    pub = SeedMatrixPub.from_bytes(m, h, rng(m * h * 32))
     return priv, pub
 
 
@@ -154,21 +155,18 @@ def seed_sum(seeds: Sequence[bytes]) -> bytes:
         if len(s) != width:
             raise ParameterError(
                 f"seed_sum operands must share a length ({width} vs {len(s)})")
-    acc = [0] * width
-    for s in seeds:
-        for i, b in enumerate(s):
-            acc[i] = (acc[i] + b) & 0xFF
-    return bytes(acc)
+    stack = np.frombuffer(b"".join(seeds), dtype=np.uint8).reshape(len(seeds), width)
+    return stack.sum(axis=0, dtype=np.uint8).tobytes()
 
 
 def seed_neg(seed: bytes) -> bytes:
     """Byte-wise additive inverse: seed_sum([x, seed_neg(x)]) is all zeros."""
-    return bytes((-b) & 0xFF for b in seed)
+    return np.negative(np.frombuffer(seed, dtype=np.uint8)).tobytes()
 
 
 def _derive(handle: IdentityHandle, mat: _SeedMatrix) -> bytes:
     rows = map_indices(handle, mat.m, mat.h)
-    return seed_sum([mat.entry(rows[col], col) for col in range(mat.h)])
+    return mat.cells[rows, np.arange(mat.h)].sum(axis=0, dtype=np.uint8).tobytes()
 
 
 def derive_public_seed(handle: IdentityHandle, mat: SeedMatrixPub) -> bytes:

@@ -46,8 +46,8 @@ def enrolled_center():
 
 def tiny_matrices(m: int = 4, h: int = 4):
     """Fixed small matrices with byte-patterned cells, for hand-checkable sums."""
-    priv = SeedMatrixPriv(m, h, [bytes([(r * h + c) % 251] * 64)
-                                 for r in range(m) for c in range(h)])
-    pub = SeedMatrixPub(m, h, [bytes([(7 * r + 13 * c) % 251] * 32)
-                               for r in range(m) for c in range(h)])
+    priv = SeedMatrixPriv.from_bytes(m, h, b"".join(
+        bytes([(r * h + c) % 251] * 64) for r in range(m) for c in range(h)))
+    pub = SeedMatrixPub.from_bytes(m, h, b"".join(
+        bytes([(7 * r + 13 * c) % 251] * 32) for r in range(m) for c in range(h)))
     return priv, pub

@@ -71,6 +71,17 @@ class TestCaAndValidate:
         report = json.loads(capsys.readouterr().out)
         assert report["verdict"] == "invalid"
 
+    def test_malformed_roa_exits_2(self, tmp_path, capsys):
+        roa_path = full_ipkpq_flow(tmp_path, capsys)
+        prefix_tlv = bytes.fromhex("15" "00000006" "0410" "0a010000")  # 10.1.0.0/16
+        blob = roa_path.read_bytes()
+        assert prefix_tlv in blob
+        roa_path.write_bytes(blob.replace(prefix_tlv, prefix_tlv[:6] + b"\xc8"
+                                          + prefix_tlv[7:]))  # prefix length 200
+        assert run(tmp_path, "validate", "--mode", "ipkpq",
+                   "--roa", str(roa_path)) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_standard_flow(self, tmp_path, capsys):
         assert run(tmp_path, "ca", "init-root", "--name", "RIPE",
                    "--mode", "standard") == 0

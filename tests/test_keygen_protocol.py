@@ -90,6 +90,17 @@ class TestKcRespond:
         with pytest.raises(StateError):
             kc_respond(center, "APNIC", msg1)
 
+    def test_second_respond_needs_renewal(self, center):
+        # each respond masks a new private partial with the same registration
+        # secret, so two answers would reveal the difference of two partials
+        register(center, "APNIC")
+        kc_respond(center, "APNIC", ca_begin(Drbg("ca1"))[1])
+        with pytest.raises(StateError):
+            kc_respond(center, "APNIC", ca_begin(Drbg("ca2"))[1])
+        center.renew("APNIC", center.record("APNIC").valid_to)
+        assert center.record("APNIC").R is None
+        run_keygen(center, "APNIC", Drbg("ca3"))
+
     def test_bad_kr_length(self, center):
         register(center, "APNIC")
         with pytest.raises(ParameterError):

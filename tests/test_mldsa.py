@@ -7,9 +7,11 @@ component entry point by splitting each vector's seed expansion exactly
 the way the standard single-seed path does.
 """
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from ipkpq.errors import DecodeError, ParameterError
 from ipkpq.mldsa import (
@@ -23,6 +25,7 @@ from ipkpq.mldsa import (
     sign,
     verify,
 )
+from ipkpq.mldsa import encoding
 
 LEVEL_IDS = sorted(LEVELS)
 
@@ -162,3 +165,64 @@ def test_component_keys_sign_and_verify(rho, rho_prime, k_seed, msg):
     tampered = bytearray(sig)
     tampered[0] ^= 0xFF
     assert not verify(pk, msg, b"", bytes(tampered))
+
+
+# one field width per packed quantity: eta (3, 4), w1 (6, 4), t1 (10),
+# t0 (13), z (18, 20)
+PACK_WIDTHS = (3, 4, 6, 10, 13, 18, 20)
+
+
+def oracle_bit_pack(rows: np.ndarray, bits: int) -> bytes:
+    """SimpleBitPack through one Python integer: coefficient i at bit i*bits."""
+    acc = 0
+    for i, c in enumerate(rows.ravel().tolist()):
+        acc |= c << (i * bits)
+    return acc.to_bytes(rows.size * bits // 8, "little")
+
+
+@pytest.mark.parametrize("bits", PACK_WIDTHS)
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_bit_pack_round_trip(bits, data):
+    k = data.draw(st.integers(1, 8))
+    x = data.draw(arrays(np.int64, (k, 256), elements=st.integers(0, (1 << bits) - 1)))
+    packed = encoding.bit_pack(x, bits)
+    assert packed == oracle_bit_pack(x, bits)
+    unpacked = encoding.bit_unpack(packed, bits)
+    assert unpacked.shape == (k, 256)
+    assert np.array_equal(unpacked, x)
+
+
+def _hints(level, indices, counts, padding=b""):
+    """A HintBitPack region: index bytes, zero fill to omega, then k counts."""
+    return (bytes(indices) + padding).ljust(level.omega, b"\0") + bytes(counts)
+
+
+# rule -> (level -> (malformed region, the closest well-formed region)).
+# Each malformed region breaks only its own rule: without that check it
+# would decode to some hint vector.
+HINT_RULES = {
+    "index_not_increasing": lambda lv: (
+        _hints(lv, [3, 3], [2] * lv.k), _hints(lv, [3, 4], [2] * lv.k)),
+    "count_goes_backwards": lambda lv: (
+        _hints(lv, [0], [1] + [0] * (lv.k - 1)), _hints(lv, [0], [1] * lv.k)),
+    "count_above_omega": lambda lv: (
+        _hints(lv, range(lv.omega), [lv.omega + 1] * lv.k),
+        _hints(lv, range(lv.omega), [lv.omega] * lv.k)),
+    "nonzero_padding": lambda lv: (
+        _hints(lv, [7], [1] * lv.k, padding=b"\0\x09"), _hints(lv, [7], [1] * lv.k)),
+}
+
+
+@pytest.mark.parametrize("rule", sorted(HINT_RULES))
+@pytest.mark.parametrize("num", LEVEL_IDS)
+def test_hint_unpack_rejection_rules(mldsa_kat, num, rule):
+    level = LEVELS[num]
+    vec = mldsa_kat["levels"][str(num)]["sign"][0]
+    xi, msg, ctx = (bytes.fromhex(vec[k]) for k in ("xi", "msg", "ctx"))
+    _, pk = keygen(level, xi)
+    head = bytes.fromhex(vec["sig"])[:level.sig_len - level.omega - level.k]
+    bad, good = HINT_RULES[rule](level)
+    assert encoding.sig_decode(head + good, level) is not None
+    assert encoding.sig_decode(head + bad, level) is None
+    assert verify(pk, msg, ctx, head + bad) is False

@@ -162,6 +162,48 @@ class TestCodec:
         assert InrSet.decode_value(value, off + 5) == inr
 
 
+GOLDEN_ROA_INR = InrSet.of(["10.0.0.0/8"], [(64500, 64500)])
+# the encoded resource TLVs of GOLDEN_ROA_INR: tag, u32 length, value
+PREFIX_TLV = bytes.fromhex("15" "00000006" "0408" "0a000000")
+AS_RANGE_TLV = bytes.fromhex("16" "00000008" "0000fbf4" "0000fbf4")
+SIGNER_TLV = b"\x22\x00\x00\x00\x08APNIC123"
+
+
+class TestMalformedFields:
+    """Field values arrive from outside the program: DecodeError, nothing else."""
+
+    @pytest.mark.parametrize("mode", [MODE_STANDARD, MODE_IPKPQ])
+    def test_every_single_byte_mutation_parses_or_raises_decode_error(self, mode):
+        root, _, _ = golden_root(mode)
+        roa = issue_roa(root, GOLDEN_ROA_INR, rng=Drbg("roa"))
+        for decode, data in ((ResourceCert.decode, root.rc.encode()),
+                             (RoaObject.decode, roa.encode())):
+            for pos in range(len(data)):
+                for flip in (0x01, 0x80, 0xFF):
+                    mutated = bytearray(data)
+                    mutated[pos] ^= flip
+                    try:
+                        decode(bytes(mutated))
+                    except DecodeError:
+                        pass
+
+    @pytest.mark.parametrize("needle, patched", [
+        (PREFIX_TLV, PREFIX_TLV[:6] + bytes([200]) + PREFIX_TLV[7:]),  # /200
+        (PREFIX_TLV, PREFIX_TLV[:6] + bytes([4]) + PREFIX_TLV[7:]),    # host bits
+        (AS_RANGE_TLV, AS_RANGE_TLV[:8] + b"\xff" + AS_RANGE_TLV[9:]),  # lo > hi
+        (SIGNER_TLV, SIGNER_TLV[:5] + b"\xff" + SIGNER_TLV[6:]),        # not UTF-8
+    ], ids=["prefix_length_200", "host_bits_set", "as_lo_above_hi", "signer_not_utf8"])
+    @pytest.mark.parametrize("mode", [MODE_STANDARD, MODE_IPKPQ])
+    def test_bad_field_value_names_its_offset(self, mode, needle, patched):
+        root, _, _ = golden_root(mode)
+        data = issue_roa(root, GOLDEN_ROA_INR, rng=Drbg("roa")).encode()
+        # the last occurrence of a resource TLV is inside the standard EE certificate
+        for at in (data.index(needle), data.rindex(needle)):
+            with pytest.raises(DecodeError) as err:
+                RoaObject.decode(data[:at] + patched + data[at + len(needle):])
+            assert err.value.offset == at
+
+
 class TestIssuance:
     def test_root_self_rc_verifies(self):
         # standard: under its own key; ipkpq: under the resolved identity key

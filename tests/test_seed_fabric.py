@@ -8,6 +8,7 @@ with it once and pinned.
 
 import hashlib
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -150,8 +151,8 @@ class TestDerivation:
         assert derive_private_partial(HANDLE, priv) == FROZEN_PARTIAL_4
 
     def test_zero_matrix_derives_zero(self):
-        pub = SeedMatrixPub(4, 4, [bytes(32)] * 16)
-        priv = SeedMatrixPriv(4, 4, [bytes(64)] * 16)
+        pub = SeedMatrixPub.from_bytes(4, 4, bytes(32 * 16))
+        priv = SeedMatrixPriv.from_bytes(4, 4, bytes(64 * 16))
         for ident in ("APNIC", "APNIC||CNNIC", "x" * 100):
             handle = IdentityHandle(ident, b"\x42" * 32)
             assert derive_public_seed(handle, pub) == bytes(32)
@@ -196,6 +197,13 @@ class TestMatrices:
     def test_invalid_dims_rejected(self):
         with pytest.raises(ParameterError):
             gen_matrices(300, 32, Drbg("g4"))
+
+    def test_cells_must_be_uint8_of_the_seed_width(self):
+        with pytest.raises(ParameterError):
+            SeedMatrixPub(np.zeros((4, 4, 64), dtype=np.uint8))
+        with pytest.raises(ParameterError):
+            SeedMatrixPub(np.zeros((4, 4, 32), dtype=np.int64))
+        SeedMatrixPub(np.zeros((4, 4, 32), dtype=np.uint8))
 
     def test_out_of_range_cell_access(self):
         _, pub = tiny_matrices()

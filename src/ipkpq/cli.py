@@ -440,7 +440,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except IpkpqError as exc:
+    except (IpkpqError, OSError) as exc:  # OSError: a file missing or unreadable
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -15,6 +15,7 @@ published table.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import secrets
@@ -190,7 +191,8 @@ class KeyCenter:
         self.level = level
         self.store: SealedStore | None = None
         self.pub_matrix: SeedMatrixPub | None = None
-        self.file_pk: bytes | None = None
+        self._file_pk = bytearray()  # grows in place, one record per commit
+        self._published: bytes | None = None  # snapshot of _file_pk until the next append
         self._log: list[RegistrationRecord] = []
         self._current: dict[str, RegistrationRecord] = {}
         self._lock = threading.RLock()
@@ -203,7 +205,7 @@ class KeyCenter:
                 raise StateError("key center is already initialized")
             self.store, self.pub_matrix = SealedStore.generate(m, h, rng)
             header = pk_directory.FilePkHeader(self.level, m, h)
-            self.file_pk = pk_directory.create(header, self.pub_matrix)
+            self._file_pk = bytearray(pk_directory.create(header, self.pub_matrix))
 
     def _require_init(self) -> None:
         if self.store is None:
@@ -293,15 +295,19 @@ class KeyCenter:
     def commit_pk(self, id_: str, pk: bytes) -> None:
         with self._lock:
             record = self._lookup(id_)
-            self.file_pk = pk_directory.append_record(self.file_pk, id_, pk)
+            pk_directory.append_record(self._file_pk, id_, pk)
+            self._published = None
             self._append(replace(record, status=STATUS_ACTIVE))
 
     # -- publication -----------------------------------------------------
 
     def publish_file_pk(self) -> bytes:
+        """The File_PK as it stands; the same object until the next append."""
         self._require_init()
         with self._lock:
-            return self.file_pk
+            if self._published is None:
+                self._published = bytes(self._file_pk)
+            return self._published
 
     def publish_registration_table(self) -> str:
         """JSON-lines log; sealed registration secrets are not part of it."""
@@ -321,7 +327,11 @@ class KeyCenter:
     _META = "center.json"
 
     def save(self, directory: str | Path) -> None:
-        """Each file is replaced whole, so a crash leaves its old or new copy."""
+        """Each file is replaced whole, so a crash leaves its old or new copy.
+
+        center.json goes last and records the SHA-256 of the other three
+        files, so `load` detects a save that failed partway.
+        """
         self._require_init()
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
@@ -332,28 +342,43 @@ class KeyCenter:
             key = secrets.token_bytes(32)
             _replace_file(key_path, (key.hex() + "\n").encode(), owner_only=True)
         with self._lock:
-            _replace_file(directory / self._SEALED_FILE, self.store.export_encrypted(
-                key, self.pub_matrix.m, self.pub_matrix.h))
-            _replace_file(directory / self._FILE_PK, self.file_pk)
-            _replace_file(directory / self._REG_TABLE,
-                          self.publish_registration_table().encode())
+            files = {
+                self._SEALED_FILE: self.store.export_encrypted(
+                    key, self.pub_matrix.m, self.pub_matrix.h),
+                self._FILE_PK: self.publish_file_pk(),
+                self._REG_TABLE: self.publish_registration_table().encode(),
+            }
+            for name, data in files.items():
+                _replace_file(directory / name, data)
             _replace_file(directory / self._META, (json.dumps({
                 "level": self.level.number,
                 "m": self.pub_matrix.m,
                 "h": self.pub_matrix.h,
+                "sha256": {name: hashlib.sha256(data).hexdigest()
+                           for name, data in files.items()},
             }) + "\n").encode())
 
     @classmethod
     def load(cls, directory: str | Path) -> "KeyCenter":
+        """StateError when a file is not the one center.json recorded."""
         directory = Path(directory)
         meta = json.loads((directory / cls._META).read_text())
+        digests = meta.get("sha256")
+        if not isinstance(digests, dict):
+            raise StateError(f"{cls._META} records no file digests, so a mixed "
+                             f"save could not be detected; refusing to load")
+        files = {}
+        for name in (cls._SEALED_FILE, cls._FILE_PK, cls._REG_TABLE):
+            files[name] = (directory / name).read_bytes()
+            if hashlib.sha256(files[name]).hexdigest() != digests.get(name):
+                raise StateError(f"{name} is not the file {cls._META} recorded; "
+                                 f"a save failed partway")
         center = cls(LEVELS[meta["level"]])
         key = bytes.fromhex((directory / cls._SEAL_KEY_FILE).read_text().strip())
-        center.store = SealedStore.import_encrypted(
-            key, (directory / cls._SEALED_FILE).read_bytes())
-        center.file_pk = (directory / cls._FILE_PK).read_bytes()
-        center.pub_matrix = pk_directory.extract_matrix(center.file_pk)
-        for line in (directory / cls._REG_TABLE).read_text().splitlines():
+        center.store = SealedStore.import_encrypted(key, files[cls._SEALED_FILE])
+        center._file_pk = bytearray(files[cls._FILE_PK])
+        center.pub_matrix = pk_directory.extract_matrix(files[cls._FILE_PK])
+        for line in files[cls._REG_TABLE].decode().splitlines():
             if line.strip():
                 center._append(RegistrationRecord.from_json(line))
         return center

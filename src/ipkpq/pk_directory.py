@@ -11,12 +11,18 @@ ML-DSA-44/65/87) and fixes the record payload width. The file is
 append-only: records are only ever added at the end, and the last record
 for an id is authoritative, which is how renewals supersede old keys
 without compaction.
+
+A :class:`Directory` wraps one file, or a provider of the live file, and
+indexes it for :func:`lookup`: each record is parsed once, and a file that
+extends the indexed one costs only its new records.
 """
 
 from __future__ import annotations
 
 import struct
+import threading
 from dataclasses import dataclass
+from typing import Callable
 
 from .errors import DecodeError, ParameterError
 from .mldsa.params import LEVEL_BY_CATEGORY, MlDsaLevel
@@ -70,8 +76,12 @@ def create(header: FilePkHeader, matrix: SeedMatrixPub) -> bytes:
     return header.encode() + matrix.to_bytes()
 
 
-def append_record(file: bytes, id_: str, pk: bytes) -> bytes:
-    """Append one record; every existing byte of the file is left untouched."""
+def append_record(file: bytes | bytearray, id_: str, pk: bytes) -> bytes | bytearray:
+    """Append one record; every existing byte of the file is left untouched.
+
+    A bytes file is copied into the one returned; a bytearray grows in place
+    and is returned, so an append costs the record, not the file.
+    """
     header = decode_header(file)
     raw_id = id_.encode("utf-8")
     if not raw_id or len(raw_id) > MAX_ID_BYTES:
@@ -80,16 +90,21 @@ def append_record(file: bytes, id_: str, pk: bytes) -> bytes:
         raise ParameterError(
             f"pk must be {header.level.pk_len} bytes for {header.level.name}, "
             f"got {len(pk)}")
-    return file + struct.pack(">H", len(raw_id)) + raw_id + pk
+    file += struct.pack(">H", len(raw_id)) + raw_id + pk
+    return file
 
 
-def iter_records(file: bytes):
-    """Yield (offset, id, pk) per record; DecodeError names the corrupt offset."""
+def iter_records(file: bytes, from_offset: int | None = None):
+    """Yield (offset, id, pk) per record; DecodeError names the corrupt offset.
+
+    `from_offset` resumes at a record boundary, such as the end of a file
+    that this one extends; by default reading starts at the first record.
+    """
     header = decode_header(file)
     if len(file) < header.record_region_offset:
         raise DecodeError("file truncated inside the matrix region", offset=len(file))
     pk_len = header.level.pk_len
-    pos = header.record_region_offset
+    pos = header.record_region_offset if from_offset is None else from_offset
     while pos < len(file):
         start = pos
         if pos + 2 > len(file):
@@ -109,13 +124,54 @@ def iter_records(file: bytes):
         pos += pk_len
 
 
-def lookup(file: bytes, id_: str) -> bytes | None:
-    """Public key of the LAST record matching id, or None."""
-    found = None
-    for _, rec_id, pk in iter_records(file):
-        if rec_id == id_:
-            found = pk
-    return found
+class Directory:
+    """A File_PK, fixed bytes or a provider of the live file, indexed by id.
+
+    Each lookup asks the provider for the file. The same object as the one
+    indexed is not parsed again; a file that extends it has only its new
+    records parsed; any other file is parsed whole, so no answer is stale.
+    The index holds the offset of each id's last record and the one file it
+    was built from. Threads share it under a lock.
+    """
+
+    def __init__(self, source: Callable[[], bytes] | bytes):
+        if isinstance(source, (bytes, bytearray)):
+            blob = bytes(source)
+            source = lambda: blob
+        self.fetch: Callable[[], bytes] = source
+        self._file: bytes | None = None
+        self._last: dict[str, int] = {}
+        self._lock = threading.Lock()
+
+    def _find(self, id_: str) -> bytes | None:
+        with self._lock:
+            file = self.fetch()
+            if file is not self._file:
+                self._index(file)
+            offset = self._last.get(id_)
+            if offset is None:
+                return None
+            start = offset + 2 + struct.unpack_from(">H", file, offset)[0]
+            return file[start:start + decode_header(file).level.pk_len]
+
+    def _index(self, file: bytes) -> None:
+        """Bring the index up to `file`; on DecodeError it stays as it was."""
+        if self._file is not None and file.startswith(self._file):
+            resume, last = len(self._file), self._last
+        else:
+            resume, last = None, {}
+        last.update([(rec_id, offset) for offset, rec_id, _ in iter_records(file, resume)])
+        self._file, self._last = file, last
+
+
+def lookup(directory: Directory | bytes, id_: str) -> bytes | None:
+    """Public key of the LAST record matching id, or None.
+
+    A bytes file is indexed for this one call; a Directory keeps its index.
+    """
+    if not isinstance(directory, Directory):
+        directory = Directory(directory)
+    return directory._find(id_)
 
 
 def extract_matrix(file: bytes) -> SeedMatrixPub:

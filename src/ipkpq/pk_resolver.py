@@ -80,30 +80,24 @@ def resolve(id_: str, r_value: bytes, file: bytes) -> Optional[ResolvedKey]:
     return FileResolver(file).resolve(id_, r_value)
 
 
-def _as_provider(file: Callable[[], bytes] | bytes) -> Callable[[], bytes]:
-    """A directory-file provider; a fixed bytes value serves itself."""
-    if isinstance(file, (bytes, bytearray)):
-        blob = bytes(file)
-        return lambda: blob
-    return file
-
-
 class FileResolver:
     """Resolver over a directory file with the matrix parsed once.
 
-    Tracks a byte-fetch model mirroring what a remote reader would pull:
-    header+matrix on first use, then one record per query.
+    Records are read through one indexed `pk_directory.Directory`, so a
+    resolve parses only the records appended since the one before. Tracks a
+    byte-fetch model mirroring what a remote reader would pull: header+matrix
+    on first use, then one record per query.
     """
 
     def __init__(self, file_provider: Callable[[], bytes] | bytes):
-        self._provider = _as_provider(file_provider)
+        self._directory = pk_directory.Directory(file_provider)
         self._matrix: SeedMatrixPub | None = None
         self.bytes_fetched = 0
         self.objects_fetched = 0
 
     def _ensure_matrix(self) -> SeedMatrixPub:
         if self._matrix is None:
-            file = self._provider()
+            file = self._directory.fetch()
             self._matrix = pk_directory.extract_matrix(file)
             self.bytes_fetched += pk_directory.decode_header(file).record_region_offset
             self.objects_fetched += 1
@@ -111,8 +105,7 @@ class FileResolver:
 
     def resolve_detail(self, id_: str, r_value: bytes) -> tuple[str, Optional[ResolvedKey]]:
         matrix = self._ensure_matrix()
-        file = self._provider()
-        pk = pk_directory.lookup(file, id_)
+        pk = pk_directory.lookup(self._directory, id_)
         if pk is not None:
             self.bytes_fetched += 2 + len(id_.encode()) + len(pk)
             self.objects_fetched += 1
@@ -169,16 +162,17 @@ class _QueryHandler(socketserver.BaseRequestHandler):
 
     def _answer(self, deadline: float):
         payload, _ = _recv_msg(self.request, MAX_REQUEST_BYTES, deadline)
-        file = self.server.file_provider()
         if not payload:
             return
+        directory = self.server.directory
         verb = payload[0]
         if verb == VERB_MATRIX:
+            file = directory.fetch()
             end = pk_directory.decode_header(file).record_region_offset
             _send_msg(self.request, file[:end])
         elif verb == VERB_RECORD:
             id_ = payload[1:].decode("utf-8", errors="replace")
-            pk = pk_directory.lookup(file, id_)
+            pk = pk_directory.lookup(directory, id_)
             if pk is None:
                 _send_msg(self.request, b"\x00")
             else:
@@ -193,7 +187,7 @@ class PkQueryServer(socketserver.ThreadingTCPServer):
 
     def __init__(self, file_provider: Callable[[], bytes] | bytes,
                  host: str = "127.0.0.1", port: int = 0):
-        self.file_provider = _as_provider(file_provider)
+        self.directory = pk_directory.Directory(file_provider)  # one index for all handlers
         super().__init__((host, port), _QueryHandler)
         self._thread: threading.Thread | None = None
 

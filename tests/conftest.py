@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from ipkpq import pk_directory
 from ipkpq.drbg import Drbg
 from ipkpq.key_center import KeyCenter, init_center
 from ipkpq.keygen_protocol import run_keygen
@@ -51,3 +52,12 @@ def tiny_matrices(m: int = 4, h: int = 4):
     pub = SeedMatrixPub.from_bytes(m, h, b"".join(
         bytes([(7 * r + 13 * c) % 251] * 32) for r in range(m) for c in range(h)))
     return priv, pub
+
+
+def scan_lookup(file: bytes, id_: str) -> bytes | None:
+    """Reference answer for an index: the pk of id's last record in a full read."""
+    found = None
+    for _, rec_id, pk in pk_directory.iter_records(file):
+        if rec_id == id_:
+            found = pk
+    return found

@@ -3,6 +3,8 @@
 import json
 import stat
 
+import pytest
+
 from ipkpq.bench import parse_csv
 from ipkpq.cli import main
 
@@ -140,6 +142,29 @@ class TestFilePkCommands:
         bad_r = ("00" * 32)
         assert run(tmp_path, "resolve", "--id", "APNIC||CNNIC",
                    "--r", bad_r, "--filepk", str(file_pk)) == 1
+
+
+class TestMissingFiles:
+    """A file that cannot be read is `error: …` and exit 2, not a traceback."""
+
+    @pytest.mark.parametrize("argv", [
+        ["validate", "--mode", "ipkpq", "--roa", "MISSING"],
+        ["filepk", "inspect", "MISSING"],
+        ["filepk", "lookup", "MISSING", "--id", "APNIC"],
+        ["resolve", "--id", "APNIC", "--r", "00" * 32, "--filepk", "MISSING"],
+    ], ids=["validate-roa", "filepk-inspect", "filepk-lookup", "resolve-filepk"])
+    def test_missing_input_file_exits_2(self, tmp_path, capsys, argv):
+        missing = str(tmp_path / "no-such-file")
+        assert run(tmp_path, *[missing if a == "MISSING" else a for a in argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "no-such-file" in err
+
+    def test_validate_with_missing_center_file_exits_2(self, tmp_path, capsys):
+        roa_path = full_ipkpq_flow(tmp_path, capsys)
+        (tmp_path / "state" / "center" / "file_pk.bin").unlink()
+        assert run(tmp_path, "validate", "--mode", "ipkpq",
+                   "--roa", str(roa_path)) == 2
+        assert "file_pk.bin" in capsys.readouterr().err
 
 
 class TestBenchCommand:

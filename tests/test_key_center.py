@@ -1,5 +1,6 @@
 """Key-center lifecycle: sealed storage, registration log, File_PK upkeep."""
 
+import json
 import os
 import stat
 from datetime import timedelta
@@ -169,6 +170,21 @@ class TestPublication:
         assert priv_cell.hex() not in table_text
 
 
+def save_failing_at(name, center, directory, monkeypatch):
+    """A save whose rename onto `name` fails, as on a full disk."""
+    real_replace = os.replace
+
+    def failing_replace(src, dst):
+        if os.path.basename(dst) == name:
+            raise OSError("disk full")
+        return real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    with pytest.raises(OSError):
+        center.save(directory)
+    monkeypatch.undo()
+
+
 class TestPersistence:
     def test_save_load_round_trip(self, tmp_path, center):
         register(center, "APNIC")
@@ -214,19 +230,37 @@ class TestPersistence:
         register(center, "CNNIC", seed="r2")
         run_keygen(center, "CNNIC", Drbg("ca2"))
         assert center.publish_file_pk() != before
-
-        real_replace = os.replace
-
-        def failing_replace(src, dst):
-            if os.path.basename(dst) == "file_pk.bin":
-                raise OSError("disk full")
-            return real_replace(src, dst)
-
-        monkeypatch.setattr(os, "replace", failing_replace)
-        with pytest.raises(OSError):
-            center.save(tmp_path)
-        monkeypatch.undo()
+        save_failing_at("file_pk.bin", center, tmp_path, monkeypatch)
         assert (tmp_path / "file_pk.bin").read_bytes() == before
         assert not list(tmp_path.glob("*.tmp"))
+        # sealed.bin is already the new one: load refuses the mix
+        with pytest.raises(StateError, match="sealed.bin"):
+            KeyCenter.load(tmp_path)
+
+    def test_save_failing_at_center_json_is_detected(self, tmp_path, center,
+                                                     monkeypatch):
+        register(center, "APNIC")
+        center.save(tmp_path)
+        run_keygen(center, "APNIC", Drbg("ca1"))
+        save_failing_at("center.json", center, tmp_path, monkeypatch)
+        with pytest.raises(StateError, match="a save failed partway"):
+            KeyCenter.load(tmp_path)
+
+    def test_later_successful_save_loads(self, tmp_path, center, monkeypatch):
+        register(center, "APNIC")
+        center.save(tmp_path)
+        run_keygen(center, "APNIC", Drbg("ca1"))
+        save_failing_at("center.json", center, tmp_path, monkeypatch)
+        center.save(tmp_path)
         loaded = KeyCenter.load(tmp_path)
-        assert loaded.publish_file_pk() == before
+        assert loaded.publish_file_pk() == center.publish_file_pk()
+        assert loaded.record("APNIC") == center.record("APNIC")
+
+    def test_directory_without_digests_is_refused(self, tmp_path, center):
+        center.save(tmp_path)
+        meta_path = tmp_path / "center.json"
+        meta = json.loads(meta_path.read_text())
+        del meta["sha256"]
+        meta_path.write_text(json.dumps(meta) + "\n")
+        with pytest.raises(StateError, match="no file digests"):
+            KeyCenter.load(tmp_path)

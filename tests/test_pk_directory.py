@@ -1,4 +1,4 @@
-"""Directory-file format: exact layout, append-only behavior, fuzzing."""
+"""Directory-file format: exact layout, append-only behavior, index, fuzzing."""
 
 import hashlib
 
@@ -6,10 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import scan_lookup
 from ipkpq.drbg import Drbg
 from ipkpq.errors import DecodeError, ParameterError
 from ipkpq.mldsa.params import L44, L65
 from ipkpq.pk_directory import (
+    Directory,
     FilePkHeader,
     append_record,
     create,
@@ -186,3 +188,70 @@ def test_round_trip_property(records, data):
         name, tag = data.draw(st.sampled_from(records))
         last = max(i for i, (n, _) in enumerate(records) if n == name)
         assert lookup(file, name) == bytes([records[last][1]]) * L44.pk_len
+
+
+POOL = ["A", "B", "APNIC", "é", "CA||x"]  # few ids, so renewals are common
+
+
+def with_records(file, *records):
+    for name, tag in records:
+        file = append_record(file, name, fake_pk(L44, tag))
+    return file
+
+
+def live(file):
+    """A Directory over a provider whose file the test swaps through box[0]."""
+    box = [file]
+    return box, Directory(lambda: box[0])
+
+
+def assert_matches_scan(directory, file):
+    for name in POOL + ["absent"]:
+        assert lookup(directory, name) == scan_lookup(file, name)
+
+
+class TestIndex:
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(POOL), st.integers(0, 255)), max_size=12))
+    def test_indexed_lookup_equals_scan_after_every_append(self, appends):
+        file, _ = make_file(2, 2, seed="index")
+        grown = bytearray(file)  # grows in place, published as snapshots
+        box, directory = live(file)
+        assert_matches_scan(directory, file)
+        for name, tag in appends:
+            append_record(grown, name, fake_pk(L44, tag))
+            box[0] = bytes(grown)
+            assert_matches_scan(directory, box[0])
+
+    @pytest.mark.parametrize("change", ["rewrite-earlier", "truncate", "other-center"])
+    def test_file_that_does_not_extend_the_indexed_one_is_read_whole(self, change):
+        file = with_records(make_file(2, 2, seed="index")[0], ("A", 1), ("B", 2), ("A", 3))
+        box, directory = live(file)
+        assert_matches_scan(directory, file)
+        last = len(file) - (3 + L44.pk_len)  # offset of the record ("A", 3)
+        box[0] = {
+            # same length: the last record now says ("B", 9), so A is back at 1
+            "rewrite-earlier": file[:last + 2] + b"B" + fake_pk(L44, 9),
+            "truncate": file[:last],
+            "other-center": with_records(make_file(2, 2, seed="other")[0], ("B", 7)),
+        }[change]
+        assert_matches_scan(directory, box[0])
+
+    @pytest.mark.parametrize("cut", ["truncated-payload", "zero-id-length"])
+    def test_corrupt_tail_raises_on_this_lookup_and_the_next(self, cut):
+        file = with_records(make_file(2, 2, seed="index")[0], ("A", 1))
+        box, directory = live(file)
+        assert lookup(directory, "A") == fake_pk(L44, 1)
+        box[0] = {
+            "truncated-payload": append_record(file, "B", fake_pk(L44, 2))[:-3],
+            "zero-id-length": file + b"\x00\x00" + fake_pk(L44, 2),
+        }[cut]
+        with pytest.raises(DecodeError) as scanned:
+            list(iter_records(box[0]))
+        assert scanned.value.offset == len(file)
+        for _ in range(2):
+            with pytest.raises(DecodeError) as err:
+                lookup(directory, "A")
+            assert err.value.offset == scanned.value.offset
+        box[0] = with_records(file, ("B", 2))  # mended
+        assert_matches_scan(directory, box[0])

@@ -1,14 +1,17 @@
 """Resolution semantics: the consistency triple, substitution, online mode."""
 
+import itertools
 import socket
 import struct
+import sys
 import threading
 import time
 from contextlib import contextmanager
+from datetime import timedelta
 
 import pytest
 
-from conftest import make_center, register
+from conftest import WINDOW, make_center, register, scan_lookup
 from ipkpq import pk_directory, pk_resolver
 from ipkpq.drbg import Drbg
 from ipkpq.errors import DecodeError, TransportError
@@ -94,6 +97,83 @@ class TestOffline:
         assert first == matrix_bytes + record_len
         resolver.resolve("CA0", results["CA0"].R)
         assert resolver.bytes_fetched == first + record_len  # matrix cached
+
+
+class TestIndexedDirectory:
+    def test_resolves_parse_only_records_appended_since(self, setup, monkeypatch):
+        center, results = setup
+        parsed = []
+        real_iter = pk_directory.iter_records
+
+        def counting(file, from_offset=None):
+            for record in real_iter(file, from_offset):
+                parsed.append(record[0])
+                yield record
+
+        monkeypatch.setattr(pk_directory, "iter_records", counting)
+        resolver = FileResolver(center.publish_file_pk)
+        assert resolver.resolve("CA0", results["CA0"].R) is not None
+        assert len(parsed) == 3
+        for i in range(12):
+            ident = f"CA{i % 3}"
+            assert resolver.resolve(ident, results[ident].R) is not None
+        assert len(parsed) == 3
+        register(center, "LATE", seed="late")
+        late = run_keygen(center, "LATE", Drbg("late-ca"))
+        assert resolver.resolve("LATE", late.R).pk == late.pk
+        assert len(parsed) == 4
+
+    def test_concurrent_queries_while_the_center_appends(self, setup):
+        center, _ = setup
+        published = {}  # id -> every file the server was handed, kept alive
+
+        def provider():
+            file = center.publish_file_pk()
+            published.setdefault(id(file), file)
+            return file
+
+        ids = ["CA0", "CA1", "CA2", "NEW0", "NEW1", "NEW2", "absent"]
+        answers, errors = [], []
+        stop = threading.Event()
+
+        def client(k):
+            online = OnlineResolver(server.endpoint)
+            try:
+                for i in itertools.count(k):
+                    if stop.is_set():
+                        return
+                    ident = ids[i % len(ids)]
+                    answers.append((ident, online.fetch_record(ident)))
+            except Exception as exc:  # surfaced by the assertion below
+                errors.append(exc)
+
+        server = PkQueryServer(provider).start()
+        clients = [threading.Thread(target=client, args=(k,)) for k in range(4)]
+        switch_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave the threads often
+        try:
+            for thread in clients:
+                thread.start()
+            for n in range(3):
+                register(center, f"NEW{n}", seed=f"new{n}")
+                run_keygen(center, f"NEW{n}", Drbg(f"new-ca{n}"))
+            center.renew("CA0", WINDOW[1] + timedelta(days=1), Drbg("renew"))
+            run_keygen(center, "CA0", Drbg("renew-ca"))
+            time.sleep(0.2)  # let every client query the final file too
+        finally:
+            sys.setswitchinterval(switch_interval)
+            stop.set()
+            for thread in clients:
+                thread.join(timeout=10)
+            server.stop()
+        assert not any(thread.is_alive() for thread in clients)
+        assert not errors
+        expected = [{ident: scan_lookup(file, ident) for ident in ids}
+                    for file in published.values()]
+        for ident, pk in answers:
+            assert any(answer[ident] == pk for answer in expected), ident
+        final = center.publish_file_pk()
+        assert (ids[0], scan_lookup(final, ids[0])) in answers  # the renewed key
 
 
 @contextmanager

@@ -5,7 +5,7 @@ end-entity key, the end-entity certificate under the issuing CA's RC, and
 every RC under its parent until the self-signed root, which is matched
 against a pinned digest instead of being signature-verified. That costs
 depth + 1 signature verifications and fetches every non-root RC per
-validation (the root is cached, as deployments do).
+validation (the root is kept once it matched the pin, as deployments do).
 
 Identity mode never walks a chain: the registration record is checked
 first (cheap policy before expensive crypto), the signer's public key is
@@ -59,23 +59,18 @@ class ValidationReport:
     def ok(self) -> bool:
         return self.verdict == VALID
 
-    def fail(self, reason: str) -> "ValidationReport":
-        self.verdict = INVALID
-        self.reason = reason
-        return self
-
     def to_dict(self) -> dict:
         return asdict(self)
 
 
 def _timed(check, roa: RoaObject, now: int) -> ValidationReport:
-    """Run one validation body on a fresh report and record its wall time."""
+    """Run one validation body on a fresh report; its reason, if any, fails it."""
     report = ValidationReport()
     start = time.perf_counter()
-    try:
-        check(roa, now, report)
-    finally:
-        report.wall_time = time.perf_counter() - start
+    reason = check(roa, now, report)
+    report.wall_time = time.perf_counter() - start
+    if reason is not None:
+        report.verdict, report.reason = INVALID, reason
     return report
 
 
@@ -91,76 +86,62 @@ class StandardValidator:
     def __init__(self, repo: Repository, trust_anchor_digest: bytes):
         self.repo = repo
         self.trust_anchor_digest = trust_anchor_digest
-        # holds only the root, and only after it matched the pinned digest
-        self._cache: dict[str, bytes] = {}
+        # the root RC, once it matched the pinned digest; never fetched again
+        self._root: ResourceCert | None = None
 
     def _fetch_rc(self, name: str, report: ValidationReport) -> ResourceCert | None:
-        path = rc_path(name)
-        raw = self._cache.get(path)
-        if raw is None:
-            try:
-                raw = self.repo.get(path)
-            except KeyError:
-                return None
-            report.objects_fetched += 1
-            report.bytes_fetched += len(raw)
+        if self._root is not None and name == self._root.subject_name:
+            return self._root
+        try:
+            raw = self.repo.get(rc_path(name))
+        except KeyError:
+            return None
+        report.objects_fetched += 1
+        report.bytes_fetched += len(raw)
         return ResourceCert.decode(raw)
 
     def validate(self, roa: RoaObject, now: int) -> ValidationReport:
         return _timed(self._validate, roa, now)
 
-    def _validate(self, roa: RoaObject, now: int, report: ValidationReport) -> None:
+    def _validate(self, roa: RoaObject, now: int, report: ValidationReport) -> str | None:
         if roa.mode != MODE_STANDARD or roa.ee_cert is None or roa.ee_pk is None:
-            report.fail(REASON_CHAIN_BROKEN)
-            return
+            return REASON_CHAIN_BROKEN
         if not _verify_counted(roa.ee_pk, roa, report):
-            report.fail(REASON_BAD_SIGNATURE)
-            return
+            return REASON_BAD_SIGNATURE
 
         ee = roa.ee_cert
         if ee.spki != roa.ee_pk:
-            report.fail(REASON_CHAIN_BROKEN)
-            return
+            return REASON_CHAIN_BROKEN
         if not (ee.valid_from <= now <= ee.valid_to):
-            report.fail(REASON_EXPIRED)
-            return
+            return REASON_EXPIRED
         if not ee.inr.contains(roa.inr):
-            report.fail(REASON_INR_VIOLATION)
-            return
+            return REASON_INR_VIOLATION
 
         child: ResourceCert = ee
         seen: set[str] = set()
         while True:
             issuer_name = child.issuer_name
             if issuer_name in seen:
-                report.fail(REASON_CHAIN_BROKEN)
-                return
+                return REASON_CHAIN_BROKEN
             seen.add(issuer_name)
             issuer_rc = self._fetch_rc(issuer_name, report)
             if issuer_rc is None:
-                report.fail(REASON_NOT_FOUND)
-                return
+                return REASON_NOT_FOUND
             if issuer_rc.subject_name != issuer_name or issuer_rc.mode != MODE_STANDARD:
-                report.fail(REASON_CHAIN_BROKEN)
-                return
+                return REASON_CHAIN_BROKEN
             if not (issuer_rc.valid_from <= now <= issuer_rc.valid_to):
-                report.fail(REASON_EXPIRED)
-                return
+                return REASON_EXPIRED
             if not issuer_rc.inr.contains(child.inr):
-                report.fail(REASON_INR_VIOLATION)
-                return
+                return REASON_INR_VIOLATION
             if not _verify_counted(issuer_rc.spki, child, report):
-                report.fail(REASON_CHAIN_BROKEN)
-                return
+                return REASON_CHAIN_BROKEN
             if issuer_rc.issuer_name == issuer_rc.subject_name:
-                # reached the self-signed root: compare against the pinned
-                # anchor, and cache only a root that matched it
-                encoded = issuer_rc.encode()
-                if sha_digest(encoded) != self.trust_anchor_digest:
-                    report.fail(REASON_CHAIN_BROKEN)
-                else:
-                    self._cache[rc_path(issuer_name)] = encoded
-                return
+                # reached the self-signed root: pin it only if it matches the anchor
+                if issuer_rc is not self._root:
+                    if sha_digest(issuer_rc.encode()) != self.trust_anchor_digest:
+                        return REASON_CHAIN_BROKEN
+                    self._root = issuer_rc
+                return None
             child = issuer_rc
 
 
@@ -175,18 +156,15 @@ class IpkpqValidator:
     def validate(self, roa: RoaObject, now: int) -> ValidationReport:
         return _timed(self._validate, roa, now)
 
-    def _validate(self, roa: RoaObject, now: int, report: ValidationReport) -> None:
+    def _validate(self, roa: RoaObject, now: int, report: ValidationReport) -> str | None:
         if roa.mode != MODE_IPKPQ or roa.signer_r is None:
-            report.fail(REASON_REGISTRATION_INVALID)
-            return
+            return REASON_REGISTRATION_INVALID
         record = self.registration_table.get(roa.signer_name)
         if record is None or record.status != STATUS_ACTIVE:
-            report.fail(REASON_REGISTRATION_INVALID)
-            return
+            return REASON_REGISTRATION_INVALID
         if not (record.valid_from <= datetime.fromtimestamp(now, timezone.utc)
                 <= record.valid_to):
-            report.fail(REASON_EXPIRED)
-            return
+            return REASON_EXPIRED
 
         fetched0 = self.resolver.bytes_fetched
         objects0 = self.resolver.objects_fetched
@@ -194,11 +172,9 @@ class IpkpqValidator:
         report.bytes_fetched += self.resolver.bytes_fetched - fetched0
         report.objects_fetched += self.resolver.objects_fetched - objects0
         if status == NOT_FOUND:
-            report.fail(REASON_NOT_FOUND)
-            return
+            return REASON_NOT_FOUND
         if status == RHO_MISMATCH:
-            report.fail(REASON_RHO_MISMATCH)
-            return
-
+            return REASON_RHO_MISMATCH
         if not _verify_counted(resolved.pk, roa, report):
-            report.fail(REASON_BAD_SIGNATURE)
+            return REASON_BAD_SIGNATURE
+        return None

@@ -33,11 +33,11 @@ from .key_center import KeyCenter, RegistrationTable, init_center
 from .mldsa.params import LEVELS
 from .rpki_objects import (
     CaNode,
+    FsRepository,
     InrSet,
     Manifest,
     MODE_IPKPQ,
     MODE_STANDARD,
-    Repository,
     RoaObject,
     issue_rc,
     issue_roa,
@@ -46,36 +46,6 @@ from .rpki_objects import (
     provision_child,
     sha_digest,
 )
-
-
-class FsRepository(Repository):
-    """Publication point backed by a directory tree."""
-
-    def __init__(self, root: Path):
-        super().__init__()
-        self.root = root
-        self.root.mkdir(parents=True, exist_ok=True)
-
-    def _path(self, path: str) -> Path:
-        p = (self.root / path).resolve()
-        if not p.is_relative_to(self.root.resolve()):
-            raise ValueError(f"path {path!r} escapes the repository")
-        return p
-
-    def put(self, path: str, data: bytes) -> None:
-        p = self._path(path)
-        p.parent.mkdir(parents=True, exist_ok=True)
-        p.write_bytes(data)
-
-    def get(self, path: str) -> bytes:
-        p = self._path(path)
-        if not p.is_file():
-            raise KeyError(f"no object published at {path!r}")
-        return p.read_bytes()
-
-    def paths(self) -> list[str]:
-        return sorted(str(p.relative_to(self.root))
-                      for p in self.root.rglob("*") if p.is_file())
 
 
 def _state(args) -> Path:

@@ -28,7 +28,7 @@ from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
 from . import pk_directory
 from .errors import ConflictError, ParameterError, StateError
-from .mldsa.params import LEVELS, MlDsaLevel
+from .mldsa.params import L44, MlDsaLevel
 from .seed_fabric import (
     EntropySource,
     SeedMatrixPriv,
@@ -87,6 +87,11 @@ class RegistrationRecord:
         )
 
 
+def _parse_log(text: str):
+    """The records of a JSON-lines registration log, in order."""
+    return (RegistrationRecord.from_json(line) for line in text.splitlines() if line.strip())
+
+
 class RegistrationTable:
     """Read-side view of the published registration log."""
 
@@ -95,12 +100,7 @@ class RegistrationTable:
 
     @classmethod
     def from_jsonl(cls, text: str) -> "RegistrationTable":
-        records: dict[str, RegistrationRecord] = {}
-        for line in text.splitlines():
-            if line.strip():
-                rec = RegistrationRecord.from_json(line)
-                records[rec.id] = rec
-        return cls(records)
+        return cls({rec.id: rec for rec in _parse_log(text)})
 
     def get(self, id_: str) -> RegistrationRecord | None:
         return self._records.get(id_)
@@ -185,38 +185,29 @@ class SealedStore:
 
 
 class KeyCenter:
-    """Single-writer authority over the sealed store, records, and File_PK."""
+    """Single-writer authority over the sealed store, records, and File_PK.
 
-    def __init__(self, level: MlDsaLevel):
-        self.level = level
-        self.store: SealedStore | None = None
-        self.pub_matrix: SeedMatrixPub | None = None
-        self._file_pk = bytearray()  # grows in place, one record per commit
+    Built whole from a sealed store, the File_PK bytes and the registration
+    log (JSON lines); the level and public matrix are read from File_PK.
+    """
+
+    def __init__(self, store: SealedStore, file_pk: bytes, log: str = ""):
+        self.store = store
+        self.level = pk_directory.decode_header(file_pk).level
+        self.pub_matrix = pk_directory.extract_matrix(file_pk)
+        self._file_pk = bytearray(file_pk)  # grows in place, one record per commit
         self._published: bytes | None = None  # snapshot of _file_pk until the next append
         self._log: list[RegistrationRecord] = []
         self._current: dict[str, RegistrationRecord] = {}
         self._lock = threading.RLock()
-
-    # -- lifecycle -----------------------------------------------------
-
-    def init(self, m: int, h: int, rng: EntropySource = secrets.token_bytes) -> None:
-        with self._lock:
-            if self.store is not None:
-                raise StateError("key center is already initialized")
-            self.store, self.pub_matrix = SealedStore.generate(m, h, rng)
-            header = pk_directory.FilePkHeader(self.level, m, h)
-            self._file_pk = bytearray(pk_directory.create(header, self.pub_matrix))
-
-    def _require_init(self) -> None:
-        if self.store is None:
-            raise StateError("key center is not initialized")
+        for record in _parse_log(log):
+            self._append(record)
 
     # -- registration --------------------------------------------------
 
     def register(self, attributes: str, id_: str, valid_from: datetime,
                  valid_to: datetime,
                  rng: EntropySource = secrets.token_bytes) -> RegistrationRecord:
-        self._require_init()
         validate_identity(id_)
         if valid_from >= valid_to:
             raise ParameterError("valid_from must precede valid_to")
@@ -232,7 +223,6 @@ class KeyCenter:
     def renew(self, id_: str, new_valid_to: datetime,
               rng: EntropySource = secrets.token_bytes) -> RegistrationRecord:
         """Open a re-key window: fresh registration secret, extended validity."""
-        self._require_init()
         with self._lock:
             record = self._lookup(id_)
             if record.status == STATUS_REVOKED:
@@ -246,7 +236,6 @@ class KeyCenter:
             return updated
 
     def revoke(self, id_: str) -> RegistrationRecord:
-        self._require_init()
         with self._lock:
             record = self._lookup(id_)
             updated = replace(record, status=STATUS_REVOKED)
@@ -303,7 +292,6 @@ class KeyCenter:
 
     def publish_file_pk(self) -> bytes:
         """The File_PK as it stands; the same object until the next append."""
-        self._require_init()
         with self._lock:
             if self._published is None:
                 self._published = bytes(self._file_pk)
@@ -332,7 +320,6 @@ class KeyCenter:
         center.json goes last and records the SHA-256 of the other three
         files, so `load` detects a save that failed partway.
         """
-        self._require_init()
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
         key_path = directory / self._SEAL_KEY_FILE
@@ -373,15 +360,9 @@ class KeyCenter:
             if hashlib.sha256(files[name]).hexdigest() != digests.get(name):
                 raise StateError(f"{name} is not the file {cls._META} recorded; "
                                  f"a save failed partway")
-        center = cls(LEVELS[meta["level"]])
         key = bytes.fromhex((directory / cls._SEAL_KEY_FILE).read_text().strip())
-        center.store = SealedStore.import_encrypted(key, files[cls._SEALED_FILE])
-        center._file_pk = bytearray(files[cls._FILE_PK])
-        center.pub_matrix = pk_directory.extract_matrix(files[cls._FILE_PK])
-        for line in files[cls._REG_TABLE].decode().splitlines():
-            if line.strip():
-                center._append(RegistrationRecord.from_json(line))
-        return center
+        return cls(SealedStore.import_encrypted(key, files[cls._SEALED_FILE]),
+                   files[cls._FILE_PK], files[cls._REG_TABLE].decode())
 
     @classmethod
     def exists(cls, directory: str | Path) -> bool:
@@ -406,11 +387,9 @@ def _replace_file(path: Path, data: bytes, *, owner_only: bool = False) -> None:
         raise
 
 
-def init_center(m: int, h: int, level: MlDsaLevel | None = None,
+def init_center(m: int, h: int, level: MlDsaLevel = L44,
                 rng: EntropySource = secrets.token_bytes) -> KeyCenter:
     """Generate matrices, seal the private side, start an empty File_PK."""
-    from .mldsa.params import L44
-
-    center = KeyCenter(level or L44)
-    center.init(m, h, rng)
-    return center
+    store, pub_matrix = SealedStore.generate(m, h, rng)
+    return KeyCenter(store, pk_directory.create(pk_directory.FilePkHeader(level, m, h),
+                                                pub_matrix))

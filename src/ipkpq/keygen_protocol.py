@@ -25,7 +25,7 @@ from __future__ import annotations
 import enum
 import secrets
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import DecodeError, ParameterError, StateError
 from .key_center import KeyCenter
@@ -111,7 +111,6 @@ def decode_frame(data: bytes) -> tuple[Msg1 | Msg2 | Msg3, MlDsaLevel]:
 
 class CaPhase(enum.Enum):
     STARTED = "started"
-    GOT_SEEDS = "got_seeds"
     FINISHED = "finished"
 
 
@@ -134,8 +133,6 @@ class CaKeygenState:
 @dataclass
 class KcKeygenState:
     id: str
-    Kr: bytes
-    R: bytes
     rho: bytes
     phase: KcPhase = KcPhase.RESPONDED
 
@@ -149,7 +146,6 @@ def ca_begin(rng: EntropySource = secrets.token_bytes) -> tuple[CaKeygenState, M
 def kc_respond(center: KeyCenter, id_: str, msg1: Msg1,
                ) -> tuple[KcKeygenState, Msg2]:
     """Derive the identity-bound seeds and answer with the masked private part."""
-    center._require_init()
     if len(msg1.Kr) != 32:
         raise ParameterError(f"Kr must be 32 bytes, got {len(msg1.Kr)}")
     center.keygen_allowed(id_)
@@ -159,7 +155,7 @@ def kc_respond(center: KeyCenter, id_: str, msg1: Msg1,
     partial = derive_private_partial(handle, center.store.priv_matrix)
     masked = seed_sum([partial, center.store.reg_secret(id_)])
     center.finalize_r(id_, r_value)
-    state = KcKeygenState(id=id_, Kr=msg1.Kr, R=r_value, rho=rho)
+    state = KcKeygenState(id=id_, rho=rho)
     return state, Msg2(R=r_value, rho_prime_masked=masked, rho=rho)
 
 
@@ -170,7 +166,6 @@ def ca_finish(state: CaKeygenState, msg2: Msg2, level: MlDsaLevel,
         raise StateError(f"ca_finish in phase {state.phase.value}")
     if len(msg2.R) != 32 or len(msg2.rho) != 32 or len(msg2.rho_prime_masked) != 64:
         raise ParameterError("malformed Msg2 field lengths")
-    state.phase = CaPhase.GOT_SEEDS
     rho_prime = seed_sum([msg2.rho_prime_masked, state.rho_prime_r_ca])
     sk, pk = keygen_from_components(level, msg2.rho, rho_prime, state.K_ca)
     state.result = (sk, pk, msg2.R)

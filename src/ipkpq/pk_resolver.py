@@ -17,6 +17,7 @@ files and transport failures raise, so callers can tell "no" from
     response = u32 len | payload
         verb 1 payload: the directory file's header and matrix region
         verb 2 payload: found u8 | pk bytes when found
+        either verb, empty payload: the server cannot read its directory file
 
 The server drops a connection whose request claims more than
 MAX_REQUEST_BYTES, without reading its body, and one that has not been
@@ -156,27 +157,28 @@ class _QueryHandler(socketserver.BaseRequestHandler):
         # one deadline, so a client trickling its request cannot hold the thread
         deadline = time.monotonic() + HANDLER_TIMEOUT_S
         try:
-            self._answer(deadline)
+            payload, _ = _recv_msg(self.request, MAX_REQUEST_BYTES, deadline)
+            try:
+                answer = self._answer(payload)
+            except DecodeError:
+                answer = b""  # the directory does not decode: say so, keep serving
+            if answer is not None:
+                _send_msg(self.request, answer)
         except (TransportError, OSError):
             return  # closed early, past the deadline, or oversize request
 
-    def _answer(self, deadline: float):
-        payload, _ = _recv_msg(self.request, MAX_REQUEST_BYTES, deadline)
+    def _answer(self, payload: bytes) -> bytes | None:
+        """The response payload; None leaves an empty or unknown request unanswered."""
         if not payload:
-            return
+            return None
         directory = self.server.directory
-        verb = payload[0]
-        if verb == VERB_MATRIX:
+        if payload[0] == VERB_MATRIX:
             file = directory.fetch()
-            end = pk_directory.decode_header(file).record_region_offset
-            _send_msg(self.request, file[:end])
-        elif verb == VERB_RECORD:
-            id_ = payload[1:].decode("utf-8", errors="replace")
-            pk = pk_directory.lookup(directory, id_)
-            if pk is None:
-                _send_msg(self.request, b"\x00")
-            else:
-                _send_msg(self.request, b"\x01" + pk)
+            return file[:pk_directory.decode_header(file).record_region_offset]
+        if payload[0] == VERB_RECORD:
+            pk = pk_directory.lookup(directory, payload[1:].decode("utf-8", errors="replace"))
+            return b"\x00" if pk is None else b"\x01" + pk
+        return None
 
 
 class PkQueryServer(socketserver.ThreadingTCPServer):
@@ -224,9 +226,11 @@ class OnlineResolver:
                 self.bytes_fetched += _send_msg(sock, payload)
                 response, n = _recv_msg(sock, limit, deadline)
                 self.bytes_fetched += n
-                return response
         except OSError as exc:
             raise TransportError(f"query to {self._endpoint} failed: {exc}") from exc
+        if not response:
+            raise DecodeError("the server cannot read its directory file")
+        return response
 
     def _ensure_matrix(self) -> SeedMatrixPub:
         if self._matrix is None:
@@ -243,8 +247,6 @@ class OnlineResolver:
         self._ensure_matrix()  # its header's level caps the record response
         response = self._roundtrip(bytes([VERB_RECORD]) + id_.encode("utf-8"),
                                    1 + self._pk_len)
-        if not response:
-            raise TransportError("empty record response")
         if response[0] == 0:
             return None
         self.objects_fetched += 1

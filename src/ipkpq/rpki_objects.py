@@ -29,6 +29,7 @@ import secrets
 import struct
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
+from pathlib import Path
 from typing import Iterable, Optional
 
 from .errors import AuthorizationError, DecodeError, ParameterError
@@ -434,8 +435,31 @@ class Repository:
         except KeyError:
             raise KeyError(f"no object published at {path!r}") from None
 
-    def paths(self) -> list[str]:
-        return sorted(self._objects)
+
+class FsRepository(Repository):
+    """Publication point backed by a directory tree."""
+
+    def __init__(self, root: Path):
+        super().__init__()
+        self.root = root
+        self.root.mkdir(parents=True, exist_ok=True)
+
+    def _path(self, path: str) -> Path:
+        p = (self.root / path).resolve()
+        if not p.is_relative_to(self.root.resolve()):
+            raise ValueError(f"path {path!r} escapes the repository")
+        return p
+
+    def put(self, path: str, data: bytes) -> None:
+        p = self._path(path)
+        p.parent.mkdir(parents=True, exist_ok=True)
+        p.write_bytes(data)
+
+    def get(self, path: str) -> bytes:
+        p = self._path(path)
+        if not p.is_file():
+            raise KeyError(f"no object published at {path!r}")
+        return p.read_bytes()
 
 
 def ca_path(name: str) -> str:

@@ -97,6 +97,19 @@ class TestHonestValidation:
         assert std_bytes == sorted(std_bytes) and len(set(std_bytes)) == len(std_bytes)
         assert max(ipk_bytes) / min(ipk_bytes) < 1.05
 
+    def test_warm_validation_skips_the_pinned_root(self):
+        root, _, repo, roa = std_setup()
+        validator = StandardValidator(repo, sha_digest(root.rc.encode()))
+        assert validator.validate(roa, NOW).objects_fetched == 3  # cold
+        fetched = []
+        real_get = repo.get
+        repo.get = lambda path: fetched.append(path) or real_get(path)
+        warm = validator.validate(roa, NOW)
+        assert warm.ok and warm.sig_verifies_performed == 4
+        assert warm.objects_fetched == 2  # the root is neither fetched nor counted
+        assert rc_path(root.name) not in fetched and len(fetched) == 2
+        assert warm.bytes_fetched == sum(len(real_get(path)) for path in fetched)
+
     def test_report_serializes(self):
         root, _, repo, roa = std_setup()
         validator = StandardValidator(repo, sha_digest(root.rc.encode()))
@@ -192,6 +205,20 @@ class TestStandardFailures:
         validator = StandardValidator(repo, sha_digest(root.rc.encode()))
         report = validator.validate(roa, NOW)
         assert report.reason == REASON_NOT_FOUND
+
+    def test_issuers_naming_each_other_end_chain_broken(self):
+        # the leaf's RC names the mid CA as issuer, and a forged mid RC, signed
+        # by the leaf, names the leaf: the walk stops at the repeated name
+        from ipkpq.rpki_objects import _make_rc
+
+        root, leaf, repo, roa = std_setup()
+        mid = leaf.parent
+        looped = _make_rc(leaf, mid.name, mid.inr, mid.pk, MODE_STANDARD,
+                          mid.valid_from, mid.valid_to)
+        repo.put(rc_path(mid.name), looped.encode())
+        report = StandardValidator(repo, sha_digest(root.rc.encode())).validate(roa, NOW)
+        assert report.reason == REASON_CHAIN_BROKEN
+        assert report.objects_fetched == 2  # the leaf's RC and the looped mid RC, once each
 
     def test_wrong_trust_anchor(self):
         root, _, repo, roa = std_setup()
@@ -290,6 +317,13 @@ class TestCrossMode:
             assert not StandardValidator(
                 repo, sha_digest(root.rc.encode())).validate(broken_std, NOW).ok
             assert not validator.validate(broken_ipk, NOW).ok
+
+    def test_roa_of_the_other_mode(self):
+        root, _, repo, roa = std_setup()
+        _, _, _, iroa, ipk_validator = ipk_setup()
+        standard = StandardValidator(repo, sha_digest(root.rc.encode()))
+        assert standard.validate(iroa, NOW).reason == REASON_CHAIN_BROKEN
+        assert ipk_validator.validate(roa, NOW).reason == REASON_REGISTRATION_INVALID
 
     def test_no_false_accepts_across_mutation_suite(self):
         root, _, repo, roa = std_setup()

@@ -7,7 +7,7 @@ from datetime import timedelta
 
 import pytest
 
-from conftest import WINDOW, make_center, register
+from conftest import WINDOW, register
 from ipkpq import pk_directory, pk_resolver
 from ipkpq.drbg import Drbg
 from ipkpq.errors import ConflictError, ParameterError, StateError
@@ -33,22 +33,10 @@ class TestInit:
         assert header.matrix_len == 1024 * 32
         assert len(list(pk_directory.iter_records(file))) == 0
 
-    def test_double_init_is_an_error(self):
-        center = make_center()
-        with pytest.raises(StateError):
-            center.init(8, 8, Drbg("again"))
-
     def test_published_matrix_matches_generated(self, center):
         file = center.publish_file_pk()
         assert pk_directory.extract_matrix(file) == center.pub_matrix
         assert center.pub_matrix.to_bytes() in file
-
-    def test_operations_before_init_fail(self):
-        center = KeyCenter(L44)
-        with pytest.raises(StateError):
-            center.register("A", "A", *WINDOW)
-        with pytest.raises(StateError):
-            center.publish_file_pk()
 
 
 class TestRegistration:

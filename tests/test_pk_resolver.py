@@ -300,6 +300,23 @@ class TestOnline:
         finally:
             server.stop()
 
+    def test_undecodable_directory_is_answered_not_dropped(self, setup, capfd):
+        center, results = setup
+        mended = center.publish_file_pk()
+        served = [mended + struct.pack(">H", 0) + bytes(LEVELS[44].pk_len)]  # empty id
+        server = PkQueryServer(lambda: served[0]).start()
+        try:
+            online = OnlineResolver(server.endpoint)
+            with pytest.raises(DecodeError):
+                online.resolve("CA0", results["CA0"].R)
+            with pytest.raises(DecodeError):  # the same error as over the file itself
+                FileResolver(served[0]).resolve("CA0", results["CA0"].R)
+            served[0] = mended
+            assert online.resolve("CA0", results["CA0"].R).pk == results["CA0"].pk
+        finally:
+            server.stop()
+        assert "Traceback" not in capfd.readouterr().err
+
     def test_oversize_request_is_dropped_unread(self, setup):
         center, results = setup
         server = PkQueryServer(center.publish_file_pk()).start()

@@ -189,14 +189,20 @@ class KeyCenter:
 
     Built whole from a sealed store, the File_PK bytes and the registration
     log (JSON lines); the level and public matrix are read from File_PK.
+
+    File_PK lives in an append-only buffer: its first `_size` bytes are the
+    file, and records are only ever written beyond them, so a published view
+    never changes. The buffer grows in place while no view pins it; once one
+    does, it moves, once, into a buffer with as much room again.
     """
 
     def __init__(self, store: SealedStore, file_pk: bytes, log: str = ""):
         self.store = store
         self.level = pk_directory.decode_header(file_pk).level
         self.pub_matrix = pk_directory.extract_matrix(file_pk)
-        self._file_pk = bytearray(file_pk)  # grows in place, one record per commit
-        self._published: bytes | None = None  # snapshot of _file_pk until the next append
+        self._buf = bytearray(file_pk)
+        self._size = len(file_pk)
+        self._published: memoryview | None = None  # view of the file until the next append
         self._log: list[RegistrationRecord] = []
         self._current: dict[str, RegistrationRecord] = {}
         self._lock = threading.RLock()
@@ -284,17 +290,32 @@ class KeyCenter:
     def commit_pk(self, id_: str, pk: bytes) -> None:
         with self._lock:
             record = self._lookup(id_)
-            pk_directory.append_record(self._file_pk, id_, pk)
-            self._published = None
+            self._published = None  # the center's own view no longer pins the buffer
+            end = self._size + 2 + len(id_.encode("utf-8")) + len(pk)
+            self._reserve(end)
+            pk_directory.append_record(self._buf, id_, pk, self._size)
+            self._size = end
             self._append(replace(record, status=STATUS_ACTIVE))
+
+    def _reserve(self, size: int) -> None:
+        """Make the buffer at least `size` bytes long; the file's bytes stay put."""
+        if size <= len(self._buf):
+            return
+        try:
+            self._buf.extend(bytes(size - len(self._buf)))
+        except BufferError:  # a published view pins the buffer
+            moved = bytearray(2 * size)
+            moved[:self._size] = memoryview(self._buf)[:self._size]
+            self._buf = moved
 
     # -- publication -----------------------------------------------------
 
-    def publish_file_pk(self) -> bytes:
-        """The File_PK as it stands; the same object until the next append."""
+    def publish_file_pk(self) -> memoryview:
+        """A read-only view of File_PK as it stands; the same object until the
+        next append, and its bytes never change."""
         with self._lock:
             if self._published is None:
-                self._published = bytes(self._file_pk)
+                self._published = memoryview(self._buf)[:self._size].toreadonly()
             return self._published
 
     def publish_registration_table(self) -> str:
@@ -360,6 +381,11 @@ class KeyCenter:
             if hashlib.sha256(files[name]).hexdigest() != digests.get(name):
                 raise StateError(f"{name} is not the file {cls._META} recorded; "
                                  f"a save failed partway")
+        header = pk_directory.decode_header(files[cls._FILE_PK])
+        recorded = {key: meta.get(key) for key in ("level", "m", "h")}
+        if recorded != {"level": header.level.number, "m": header.m, "h": header.h}:
+            raise StateError(f"{cls._META} says {recorded}, but {cls._FILE_PK} is a "
+                             f"{header.m}x{header.h} {header.level.name} center")
         key = bytes.fromhex((directory / cls._SEAL_KEY_FILE).read_text().strip())
         return cls(SealedStore.import_encrypted(key, files[cls._SEALED_FILE]),
                    files[cls._FILE_PK], files[cls._REG_TABLE].decode())

@@ -12,6 +12,10 @@ append-only: records are only ever added at the end, and the last record
 for an id is authoritative, which is how renewals supersede old keys
 without compaction.
 
+A file is any buffer: ``bytes``, a ``bytearray`` or a ``memoryview`` (the
+key center publishes read-only views of its append-only buffer). Readers
+hand back ids as ``str`` and keys as ``bytes`` whatever the file's type.
+
 A :class:`Directory` wraps one file, or a provider of the live file, and
 indexes it for :func:`lookup`: each record is parsed once, and a file that
 extends the indexed one costs only its new records.
@@ -27,6 +31,8 @@ from typing import Callable
 from .errors import DecodeError, ParameterError
 from .mldsa.params import LEVEL_BY_CATEGORY, MlDsaLevel
 from .seed_fabric import MAX_ID_BYTES, SeedMatrixPub, validate_dims
+
+Buffer = bytes | bytearray | memoryview
 
 MAGIC = b"IPKQ"
 VERSION = 1
@@ -51,11 +57,11 @@ class FilePkHeader:
         return HEADER_LEN + self.matrix_len
 
 
-def decode_header(data: bytes) -> FilePkHeader:
+def decode_header(data: Buffer) -> FilePkHeader:
     if len(data) < HEADER_LEN:
         raise DecodeError("file shorter than the fixed header", offset=len(data))
     if data[:4] != MAGIC:
-        raise DecodeError(f"bad magic {data[:4]!r}", offset=0)
+        raise DecodeError(f"bad magic {bytes(data[:4])!r}", offset=0)
     version, category, m, h = struct.unpack(">BBHH", data[4:HEADER_LEN])
     if version != VERSION:
         raise DecodeError(f"unsupported version {version}", offset=4)
@@ -76,11 +82,14 @@ def create(header: FilePkHeader, matrix: SeedMatrixPub) -> bytes:
     return header.encode() + matrix.to_bytes()
 
 
-def append_record(file: bytes | bytearray, id_: str, pk: bytes) -> bytes | bytearray:
-    """Append one record; every existing byte of the file is left untouched.
+def append_record(file: Buffer, id_: str, pk: bytes, end: int | None = None) -> Buffer:
+    """Append one record after the first `end` bytes (all of them by default).
 
-    A bytes file is copied into the one returned; a bytearray grows in place
-    and is returned, so an append costs the record, not the file.
+    No byte before `end` is touched. A bytearray is written in place and
+    returned, so an append costs the record, not the file: the record
+    overwrites the bytes from `end` on and grows the bytearray only past its
+    length (BufferError while a view pins it). Any other buffer is copied, up
+    to `end`, into new bytes that end with the record.
     """
     header = decode_header(file)
     raw_id = id_.encode("utf-8")
@@ -90,11 +99,15 @@ def append_record(file: bytes | bytearray, id_: str, pk: bytes) -> bytes | bytea
         raise ParameterError(
             f"pk must be {header.level.pk_len} bytes for {header.level.name}, "
             f"got {len(pk)}")
-    file += struct.pack(">H", len(raw_id)) + raw_id + pk
-    return file
+    record = struct.pack(">H", len(raw_id)) + raw_id + pk
+    end = len(file) if end is None else end
+    if isinstance(file, bytearray):
+        file[end:end + len(record)] = record
+        return file
+    return bytes(file[:end]) + record
 
 
-def iter_records(file: bytes, from_offset: int | None = None):
+def iter_records(file: Buffer, from_offset: int | None = None):
     """Yield (offset, id, pk) per record; DecodeError names the corrupt offset.
 
     `from_offset` resumes at a record boundary, such as the end of a file
@@ -109,18 +122,18 @@ def iter_records(file: bytes, from_offset: int | None = None):
         start = pos
         if pos + 2 > len(file):
             raise DecodeError("truncated record length", offset=start)
-        (id_len,) = struct.unpack(">H", file[pos:pos + 2])
+        (id_len,) = struct.unpack_from(">H", file, pos)
         pos += 2
         if id_len == 0 or id_len > MAX_ID_BYTES:
             raise DecodeError(f"record id length {id_len} out of range", offset=start)
         if pos + id_len + pk_len > len(file):
             raise DecodeError("truncated record payload", offset=start)
         try:
-            rec_id = file[pos:pos + id_len].decode("utf-8")
+            rec_id = str(file[pos:pos + id_len], "utf-8")
         except UnicodeDecodeError as exc:
             raise DecodeError("record id is not valid UTF-8", offset=start) from exc
         pos += id_len
-        yield start, rec_id, file[pos:pos + pk_len]
+        yield start, rec_id, bytes(file[pos:pos + pk_len])
         pos += pk_len
 
 
@@ -130,16 +143,22 @@ class Directory:
     Each lookup asks the provider for the file. The same object as the one
     indexed is not parsed again; a file that extends it has only its new
     records parsed; any other file is parsed whole, so no answer is stale.
-    The index holds the offset of each id's last record and the one file it
-    was built from. Threads share it under a lock.
+    Views of one buffer are taken to be prefixes of one append-only file, as
+    the key center publishes them, so a view no shorter than the indexed one
+    extends it without a byte compared. The index holds the offset of each
+    id's last record and the one file it was built from. Threads share it
+    under a lock.
+
+    A fixed bytearray is copied; a fixed memoryview is kept, so its buffer
+    must not change under it.
     """
 
-    def __init__(self, source: Callable[[], bytes] | bytes):
-        if isinstance(source, (bytes, bytearray)):
-            blob = bytes(source)
+    def __init__(self, source: Callable[[], Buffer] | Buffer):
+        if not callable(source):
+            blob = bytes(source) if isinstance(source, bytearray) else source
             source = lambda: blob
-        self.fetch: Callable[[], bytes] = source
-        self._file: bytes | None = None
+        self.fetch: Callable[[], Buffer] = source
+        self._file: Buffer | None = None
         self._last: dict[str, int] = {}
         self._lock = threading.Lock()
 
@@ -152,31 +171,40 @@ class Directory:
             if offset is None:
                 return None
             start = offset + 2 + struct.unpack_from(">H", file, offset)[0]
-            return file[start:start + decode_header(file).level.pk_len]
+            return bytes(file[start:start + decode_header(file).level.pk_len])
 
-    def _index(self, file: bytes) -> None:
+    def _index(self, file: Buffer) -> None:
         """Bring the index up to `file`; on DecodeError it stays as it was."""
-        if self._file is not None and file.startswith(self._file):
+        if self._extends(file):
             resume, last = len(self._file), self._last
         else:
             resume, last = None, {}
         last.update([(rec_id, offset) for offset, rec_id, _ in iter_records(file, resume)])
         self._file, self._last = file, last
 
+    def _extends(self, file: Buffer) -> bool:
+        old = self._file
+        if old is None or len(file) < len(old):
+            return False
+        if isinstance(file, memoryview) and isinstance(old, memoryview) and file.obj is old.obj:
+            return True  # a longer prefix of the same append-only buffer
+        head = file if isinstance(file, bytes) else bytes(file[:len(old)])
+        return head.startswith(old)
 
-def lookup(directory: Directory | bytes, id_: str) -> bytes | None:
+
+def lookup(directory: Directory | Buffer, id_: str) -> bytes | None:
     """Public key of the LAST record matching id, or None.
 
-    A bytes file is indexed for this one call; a Directory keeps its index.
+    A bare file is indexed for this one call; a Directory keeps its index.
     """
     if not isinstance(directory, Directory):
         directory = Directory(directory)
     return directory._find(id_)
 
 
-def extract_matrix(file: bytes) -> SeedMatrixPub:
+def extract_matrix(file: Buffer) -> SeedMatrixPub:
     header = decode_header(file)
-    blob = file[HEADER_LEN:header.record_region_offset]
+    blob = bytes(file[HEADER_LEN:header.record_region_offset])  # holds no view of `file`
     if len(blob) != header.matrix_len:
         raise DecodeError("file truncated inside the matrix region", offset=len(file))
     return SeedMatrixPub.from_bytes(header.m, header.h, blob)

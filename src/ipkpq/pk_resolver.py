@@ -5,13 +5,17 @@ The defining consistency triple: a resolved key satisfies
     decode_rho(pk) == derive_public_seed((id, R), matrix) == rho_checked
 
 The rho on the left comes from the stored record, the one on the right is
-recomputed locally from the public matrix. A directory (or a server in
-online mode) that substitutes a record is caught because it cannot make a
-foreign pk embed the rho that the client derives itself.
+recomputed locally from the public matrix. That check authenticates rho
+and nothing else: a record whose pk embeds another rho (another id's key,
+a flipped byte) is refused, but the pk's t1 is not bound to anything, so
+a directory or server that serves a key built for the right rho from its
+own secret seeds is not caught. Nor is the matrix authenticated: the
+online client takes it from the server.
 
 A failed resolution is the value None, never an exception; malformed
 files and transport failures raise, so callers can tell "no" from
-"broken". Online queries use length-prefixed messages over TCP:
+"broken". Online queries use length-prefixed messages over TCP, any
+number of them in turn on one connection:
 
     request  = u32 len | verb u8 (1=matrix, 2=record) | id bytes (verb 2)
     response = u32 len | payload
@@ -20,11 +24,12 @@ files and transport failures raise, so callers can tell "no" from
         either verb, empty payload: the server cannot read its directory file
 
 The server drops a connection whose request claims more than
-MAX_REQUEST_BYTES, without reading its body, and one that has not been
-served within HANDLER_TIMEOUT_S seconds. The client likewise refuses,
-unread, a matrix response longer than MAX_MATRIX_RESPONSE or a record
-response longer than 1 + pk_len, and gives each round trip one deadline of
-its timeout.
+MAX_REQUEST_BYTES, without reading its body, one that sends an empty or
+unknown request, and one whose next request has not arrived whole within
+HANDLER_TIMEOUT_S seconds, idle wait included. The client keeps its one
+connection open across queries; it likewise refuses, unread, a matrix
+response longer than MAX_MATRIX_RESPONSE or a record response longer than
+1 + pk_len, and gives each round trip one deadline of its timeout.
 """
 
 from __future__ import annotations
@@ -40,13 +45,14 @@ from typing import Callable, Optional
 from . import pk_directory
 from .errors import DecodeError, TransportError
 from .mldsa import decode_rho
+from .pk_directory import Buffer
 from .seed_fabric import MAX_ID_BYTES, IdentityHandle, SeedMatrixPub, derive_public_seed
 
 VERB_MATRIX = 1
 VERB_RECORD = 2
 
 MAX_REQUEST_BYTES = 1 + MAX_ID_BYTES  # verb plus the longest id
-HANDLER_TIMEOUT_S = 5.0               # server-side deadline per connection
+HANDLER_TIMEOUT_S = 5.0               # server-side deadline per request, idle wait included
 _RECV_CHUNK = 1 << 16                 # memory grows with bytes received, not claimed
 # the largest header+matrix region a valid header describes: h | 256 and
 # m <= 2^(256/h), both u16 (h=16, m=65535: about 32 MiB)
@@ -76,7 +82,7 @@ def _check(id_: str, r_value: bytes, pk: bytes | None,
     return OK, ResolvedKey(id=id_, R=r_value, pk=pk, rho_checked=rho)
 
 
-def resolve(id_: str, r_value: bytes, file: bytes) -> Optional[ResolvedKey]:
+def resolve(id_: str, r_value: bytes, file: Buffer) -> Optional[ResolvedKey]:
     """Whole-file resolution; None when the record is missing or rho differs."""
     return FileResolver(file).resolve(id_, r_value)
 
@@ -90,7 +96,7 @@ class FileResolver:
     on first use, then one record per query.
     """
 
-    def __init__(self, file_provider: Callable[[], bytes] | bytes):
+    def __init__(self, file_provider: Callable[[], Buffer] | Buffer):
         self._directory = pk_directory.Directory(file_provider)
         self._matrix: SeedMatrixPub | None = None
         self.bytes_fetched = 0
@@ -154,18 +160,21 @@ def _recv_msg(sock: socket.socket, limit: int, deadline: float) -> tuple[bytes, 
 
 class _QueryHandler(socketserver.BaseRequestHandler):
     def handle(self):
-        # one deadline, so a client trickling its request cannot hold the thread
-        deadline = time.monotonic() + HANDLER_TIMEOUT_S
-        try:
-            payload, _ = _recv_msg(self.request, MAX_REQUEST_BYTES, deadline)
+        while True:
+            # one deadline per request, so an idle or trickling client cannot
+            # hold the thread
+            deadline = time.monotonic() + HANDLER_TIMEOUT_S
             try:
-                answer = self._answer(payload)
-            except DecodeError:
-                answer = b""  # the directory does not decode: say so, keep serving
-            if answer is not None:
+                payload, _ = _recv_msg(self.request, MAX_REQUEST_BYTES, deadline)
+                try:
+                    answer = self._answer(payload)
+                except DecodeError:
+                    answer = b""  # the directory does not decode: say so, keep serving
+                if answer is None:
+                    return
                 _send_msg(self.request, answer)
-        except (TransportError, OSError):
-            return  # closed early, past the deadline, or oversize request
+            except (TransportError, OSError):
+                return  # closed, past the deadline, or oversize request
 
     def _answer(self, payload: bytes) -> bytes | None:
         """The response payload; None leaves an empty or unknown request unanswered."""
@@ -182,16 +191,21 @@ class _QueryHandler(socketserver.BaseRequestHandler):
 
 
 class PkQueryServer(socketserver.ThreadingTCPServer):
-    """Serves matrix and per-id record queries for a live directory file."""
+    """Serves matrix and per-id record queries for a live directory file.
+
+    One handler thread per connection; `stop` ends them all, idle ones too.
+    """
 
     allow_reuse_address = True
     daemon_threads = True
 
-    def __init__(self, file_provider: Callable[[], bytes] | bytes,
+    def __init__(self, file_provider: Callable[[], Buffer] | Buffer,
                  host: str = "127.0.0.1", port: int = 0):
         self.directory = pk_directory.Directory(file_provider)  # one index for all handlers
         super().__init__((host, port), _QueryHandler)
         self._thread: threading.Thread | None = None
+        self._handlers: dict[socket.socket, threading.Thread] = {}  # live connections
+        self._handlers_lock = threading.Lock()
 
     @property
     def endpoint(self) -> tuple[str, int]:
@@ -202,35 +216,99 @@ class PkQueryServer(socketserver.ThreadingTCPServer):
         self._thread.start()
         return self
 
+    def process_request(self, request, client_address):
+        thread = threading.Thread(target=self.process_request_thread,
+                                  args=(request, client_address), daemon=True)
+        with self._handlers_lock:
+            self._handlers[request] = thread
+        thread.start()
+
+    def shutdown_request(self, request):
+        with self._handlers_lock:
+            self._handlers.pop(request, None)
+        super().shutdown_request(request)
+
     def stop(self) -> None:
+        """Stop accepting, end every live connection and wait for its handler."""
         self.shutdown()
         self.server_close()
+        if self._thread is not None:
+            self._thread.join()
+        with self._handlers_lock:
+            handlers = list(self._handlers.items())
+            for conn, _ in handlers:
+                try:
+                    conn.shutdown(socket.SHUT_RDWR)  # wakes a handler blocked on it
+                except OSError:
+                    pass
+        for _, thread in handlers:
+            thread.join()
+
+
+class _ClosedWhileIdle(TransportError):
+    """The server closed the connection before any byte of its response."""
 
 
 class OnlineResolver:
-    """Per-record online resolution; the matrix is fetched once and cached."""
+    """Per-record online resolution over one kept-open connection.
+
+    The matrix is fetched once and cached. A kept connection that the server
+    closed while it was idle is reopened, and the request sent again, once.
+    One connection carries one exchange at a time, so one thread at a time
+    may use a resolver; `close` releases the connection.
+    """
 
     def __init__(self, endpoint: tuple[str, int], timeout: float = 5.0):
         self._endpoint = endpoint
         self._timeout = timeout
+        self._sock: socket.socket | None = None
         self._matrix: SeedMatrixPub | None = None
         self._pk_len = 0  # from the matrix response's header
-        self.bytes_fetched = 0  # request and response bytes, prefixes included
+        self.bytes_fetched = 0  # request and response bytes of completed round trips
         self.objects_fetched = 0
+
+    def close(self) -> None:
+        if self._sock is not None:
+            self._sock.close()
+            self._sock = None
 
     def _roundtrip(self, payload: bytes, limit: int) -> bytes:
         deadline = time.monotonic() + self._timeout
         try:
-            with socket.create_connection(self._endpoint, timeout=self._timeout) as sock:
-                _time_left(sock, deadline)
-                self.bytes_fetched += _send_msg(sock, payload)
-                response, n = _recv_msg(sock, limit, deadline)
-                self.bytes_fetched += n
+            try:
+                response, n = self._exchange(payload, limit, deadline)
+            except _ClosedWhileIdle:
+                self.close()
+                response, n = self._exchange(payload, limit, deadline)
+        except TransportError:
+            self.close()
+            raise
         except OSError as exc:
+            self.close()
             raise TransportError(f"query to {self._endpoint} failed: {exc}") from exc
+        self.bytes_fetched += n
         if not response:
             raise DecodeError("the server cannot read its directory file")
         return response
+
+    def _exchange(self, payload: bytes, limit: int, deadline: float) -> tuple[bytes, int]:
+        """One request and its response on the kept socket, opened if need be."""
+        kept = self._sock is not None
+        if not kept:
+            self._sock = socket.create_connection(self._endpoint, timeout=self._timeout)
+        sock = self._sock
+        try:
+            _time_left(sock, deadline)
+            sent = _send_msg(sock, payload)
+            _time_left(sock, deadline)
+            replied = sock.recv(1, socket.MSG_PEEK)
+        except (BrokenPipeError, ConnectionResetError):
+            replied = b""
+        if not replied:
+            raise (_ClosedWhileIdle if kept else TransportError)(
+                f"{self._endpoint} closed the connection before responding")
+        response, received = _recv_msg(sock, limit, deadline)
+        return response, sent + received
 
     def _ensure_matrix(self) -> SeedMatrixPub:
         if self._matrix is None:

@@ -121,15 +121,16 @@ class TestHonestValidation:
 
         _, _, center, roa, file_validator = ipk_setup(seed="online")
         server = PkQueryServer(center.publish_file_pk()).start()
+        resolver = OnlineResolver(server.endpoint)
         try:
-            online = IpkpqValidator(OnlineResolver(server.endpoint),
-                                    center.registration_table())
+            online = IpkpqValidator(resolver, center.registration_table())
             honest = online.validate(roa, NOW)
             assert honest.ok and honest.sig_verifies_performed == 1
             forged = dataclasses.replace(roa, signer_r=bytes(32))
             assert online.validate(forged, NOW).reason == \
                 file_validator.validate(forged, NOW).reason == REASON_RHO_MISMATCH
         finally:
+            resolver.close()
             server.stop()
 
 

@@ -36,7 +36,7 @@ class TestInit:
     def test_published_matrix_matches_generated(self, center):
         file = center.publish_file_pk()
         assert pk_directory.extract_matrix(file) == center.pub_matrix
-        assert center.pub_matrix.to_bytes() in file
+        assert center.pub_matrix.to_bytes() in bytes(file)
 
 
 class TestRegistration:
@@ -121,6 +121,34 @@ class TestPublication:
         for _, rid, pk in pk_directory.iter_records(file):
             assert len(pk) == 1312  # ML-DSA-44 record payloads
 
+    def test_publish_returns_the_same_view_until_an_append(self, center):
+        first = center.publish_file_pk()
+        assert center.publish_file_pk() is first
+        assert first.readonly
+        register(center, "APNIC")
+        assert center.publish_file_pk() is first  # a registration appends no record
+        run_keygen(center, "APNIC", Drbg("ca1"))
+        second = center.publish_file_pk()
+        assert second is not first
+        assert center.publish_file_pk() is second
+
+    def test_published_view_keeps_its_bytes_when_the_buffer_moves(self, center):
+        empty = center.publish_file_pk()  # pins the buffer, which has no room left
+        empty_bytes = bytes(empty)
+        register(center, "CA0", seed="r0")
+        run_keygen(center, "CA0", Drbg("ca0"))
+        one = center.publish_file_pk()
+        assert one.obj is not empty.obj  # the append moved the file to a new buffer
+        assert (len(empty), bytes(empty)) == (len(empty_bytes), empty_bytes)
+        one_bytes = bytes(one)
+        register(center, "CA1", seed="r1")
+        run_keygen(center, "CA1", Drbg("ca1"))
+        two = center.publish_file_pk()
+        assert two.obj is one.obj  # written into the room beyond the published file
+        assert (len(one), bytes(one)) == (len(one_bytes), one_bytes)
+        assert bytes(two).startswith(one_bytes)
+        assert [rid for _, rid, _ in pk_directory.iter_records(two)] == ["CA0", "CA1"]
+
     def test_registration_table_round_trip(self, center):
         register(center, "APNIC")
         run_keygen(center, "APNIC", Drbg("ca1"))
@@ -147,7 +175,7 @@ class TestPublication:
         run_keygen(center, "APNIC", Drbg("ca1"))
         sealed = center.store.inspect_for_tests()
         table_text = center.publish_registration_table()
-        file_pk = center.publish_file_pk()
+        file_pk = bytes(center.publish_file_pk())
         secrets = list(sealed["reg_secrets"].values())
         secrets += [sealed["kc_rho_prime"], sealed["kc_K"]]
         for secret in secrets:
@@ -243,6 +271,16 @@ class TestPersistence:
         loaded = KeyCenter.load(tmp_path)
         assert loaded.publish_file_pk() == center.publish_file_pk()
         assert loaded.record("APNIC") == center.record("APNIC")
+
+    def test_center_json_disagreeing_with_file_pk_is_refused(self, tmp_path, center):
+        center.save(tmp_path)
+        meta_path = tmp_path / "center.json"
+        meta = json.loads(meta_path.read_text())
+        assert (meta["level"], meta["m"], meta["h"]) == (44, 8, 8)
+        meta.update(level=87, m=4, h=2)
+        meta_path.write_text(json.dumps(meta) + "\n")
+        with pytest.raises(StateError, match="8x8 ML-DSA-44"):
+            KeyCenter.load(tmp_path)
 
     def test_directory_without_digests_is_refused(self, tmp_path, center):
         center.save(tmp_path)

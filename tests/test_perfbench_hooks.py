@@ -5,6 +5,8 @@ import json
 import sys
 from pathlib import Path
 
+from ipkpq import pk_resolver
+
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 SPANS = PERFBENCH / "spans.py"
 
@@ -43,7 +45,19 @@ def test_every_workload_runs_at_a_tiny_shape(monkeypatch):
     spec_names = [m["name"] for m in json.loads(
         (PERFBENCH.parent / "BENCHMARK.json").read_text())["end_to_end"]]
     assert sorted(tiny) == sorted(workloads.WORKLOADS)
+    connects = []
+    real_connect = pk_resolver.socket.create_connection
+
+    def counting(*args, **kwargs):
+        connects.append(args[0])
+        return real_connect(*args, **kwargs)
+
+    monkeypatch.setattr(pk_resolver.socket, "create_connection", counting)
     for name, shape in tiny.items():
+        connects.clear()
         result = workloads.run(name, seed=5, seconds=1, trace=False, shape=shape)
         assert result.correct, (name, result.notes)
         assert list(result.metrics) == spec_names, name
+        # every online query of a set-up shares one kept-open connection
+        online = name == "enroll-online"
+        assert len(connects) == (shape.cycles if online else 0), name

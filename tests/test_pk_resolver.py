@@ -146,6 +146,8 @@ class TestIndexedDirectory:
                     answers.append((ident, online.fetch_record(ident)))
             except Exception as exc:  # surfaced by the assertion below
                 errors.append(exc)
+            finally:
+                online.close()
 
         server = PkQueryServer(provider).start()
         clients = [threading.Thread(target=client, args=(k,)) for k in range(4)]
@@ -202,6 +204,19 @@ def scripted_server(*answers):
         listener.close()
 
 
+def count_connections(monkeypatch):
+    """The endpoints of every connection opened from now on, in order."""
+    connects = []
+    real = socket.create_connection
+
+    def counting(address, *args, **kwargs):
+        connects.append(address)
+        return real(address, *args, **kwargs)
+
+    monkeypatch.setattr(pk_resolver.socket, "create_connection", counting)
+    return connects
+
+
 def wait_for_hangup(conn):
     conn.settimeout(10)
     while conn.recv(1 << 16):
@@ -213,8 +228,8 @@ class TestOnline:
         center, results = setup
         file = center.publish_file_pk()
         server = PkQueryServer(file).start()
+        online = OnlineResolver(server.endpoint)
         try:
-            online = OnlineResolver(server.endpoint)
             rng = Drbg("queries")
             checked = 0
             for i in range(100):
@@ -235,13 +250,14 @@ class TestOnline:
                 checked += 1
             assert checked == 100
         finally:
+            online.close()
             server.stop()
 
     def test_warm_query_byte_budget(self, setup):
         center, results = setup
         server = PkQueryServer(center.publish_file_pk()).start()
+        online = OnlineResolver(server.endpoint)
         try:
-            online = OnlineResolver(server.endpoint)
             online.resolve("CA0", results["CA0"].R)  # cold: matrix + record
             warm_start = online.bytes_fetched
             online.resolve("CA0", results["CA0"].R)
@@ -249,6 +265,7 @@ class TestOnline:
             record_len = 2 + len(b"CA0") + 1312
             assert per_query < record_len + 64
         finally:
+            online.close()
             server.stop()
 
     def test_server_substitution_is_caught_client_side(self, setup):
@@ -260,23 +277,25 @@ class TestOnline:
         evil = honest[:header_len]
         evil = pk_directory.append_record(evil, "CA0", pk_ca1)
         server = PkQueryServer(evil).start()
+        online = OnlineResolver(server.endpoint)
         try:
-            online = OnlineResolver(server.endpoint)
             assert online.resolve("CA0", results["CA0"].R) is None
         finally:
+            online.close()
             server.stop()
 
     def test_caching_transparency(self, setup):
         center, results = setup
         server = PkQueryServer(center.publish_file_pk()).start()
+        warmed, fresh = OnlineResolver(server.endpoint), OnlineResolver(server.endpoint)
         try:
-            warmed = OnlineResolver(server.endpoint)
             warmed.resolve("CA1", results["CA1"].R)
             cached_answer = warmed.resolve("CA0", results["CA0"].R)
-            fresh_answer = OnlineResolver(server.endpoint).resolve(
-                "CA0", results["CA0"].R)
+            fresh_answer = fresh.resolve("CA0", results["CA0"].R)
             assert cached_answer == fresh_answer
         finally:
+            warmed.close()
+            fresh.close()
             server.stop()
 
     def test_transport_failure_is_distinct_from_bottom(self, setup):
@@ -290,23 +309,24 @@ class TestOnline:
     def test_live_appends_visible_without_matrix_refetch(self, setup):
         center, results = setup
         server = PkQueryServer(lambda: center.publish_file_pk()).start()
+        online = OnlineResolver(server.endpoint)
         try:
-            online = OnlineResolver(server.endpoint)
             assert online.resolve("LATE", b"\x00" * 32) is None
             register(center, "LATE", seed="late")
             late = run_keygen(center, "LATE", Drbg("late-ca"))
             resolved = online.resolve("LATE", late.R)
             assert resolved is not None and resolved.pk == late.pk
         finally:
+            online.close()
             server.stop()
 
     def test_undecodable_directory_is_answered_not_dropped(self, setup, capfd):
         center, results = setup
-        mended = center.publish_file_pk()
+        mended = bytes(center.publish_file_pk())
         served = [mended + struct.pack(">H", 0) + bytes(LEVELS[44].pk_len)]  # empty id
         server = PkQueryServer(lambda: served[0]).start()
+        online = OnlineResolver(server.endpoint)
         try:
-            online = OnlineResolver(server.endpoint)
             with pytest.raises(DecodeError):
                 online.resolve("CA0", results["CA0"].R)
             with pytest.raises(DecodeError):  # the same error as over the file itself
@@ -314,21 +334,23 @@ class TestOnline:
             served[0] = mended
             assert online.resolve("CA0", results["CA0"].R).pk == results["CA0"].pk
         finally:
+            online.close()
             server.stop()
         assert "Traceback" not in capfd.readouterr().err
 
     def test_oversize_request_is_dropped_unread(self, setup):
         center, results = setup
         server = PkQueryServer(center.publish_file_pk()).start()
+        online = OnlineResolver(server.endpoint)
         try:
             with socket.create_connection(server.endpoint, timeout=5) as sock:
                 # header only: a body this long is never sent, nor read
                 sock.sendall(struct.pack(">I", pk_resolver.MAX_REQUEST_BYTES + 1))
                 assert sock.recv(1) == b""  # closed without a reply
-            online = OnlineResolver(server.endpoint)
             assert online.fetch_record("CA0") == results["CA0"].pk
             assert online.fetch_record("x" * 1024) is None  # longest id still fits
         finally:
+            online.close()
             server.stop()
 
     def test_trickling_client_is_cut_off_at_the_deadline(self, setup, monkeypatch):
@@ -362,6 +384,56 @@ class TestOnline:
         finally:
             server.stop()
 
+    def test_resolves_share_one_connection(self, setup, monkeypatch):
+        center, results = setup
+        connects = count_connections(monkeypatch)
+        server = PkQueryServer(center.publish_file_pk).start()
+        online = OnlineResolver(server.endpoint)
+        try:
+            for i in range(20):
+                ident = f"CA{i % 3}"
+                assert online.resolve(ident, results[ident].R).pk == results[ident].pk
+            assert connects == [server.endpoint]
+        finally:
+            online.close()
+            server.stop()
+
+    def test_idle_close_reconnects_and_counts_one_exchange(self, setup, monkeypatch):
+        monkeypatch.setattr(pk_resolver, "HANDLER_TIMEOUT_S", 0.2)
+        center, results = setup
+        connects = count_connections(monkeypatch)
+        server = PkQueryServer(center.publish_file_pk()).start()
+        online = OnlineResolver(server.endpoint)
+        try:
+            assert online.resolve("CA0", results["CA0"].R) is not None
+            before = online.bytes_fetched, online.objects_fetched
+            time.sleep(0.4)  # the server closes the idle connection meanwhile
+            assert online.resolve("CA0", results["CA0"].R).pk == results["CA0"].pk
+            assert len(connects) == 2
+            exchange = (4 + 1 + len(b"CA0")) + (4 + 1 + LEVELS[44].pk_len)
+            assert (online.bytes_fetched, online.objects_fetched) \
+                == (before[0] + exchange, before[1] + 1)
+        finally:
+            online.close()
+            server.stop()
+
+    def test_stop_ends_kept_open_connections(self, setup):
+        center, results = setup
+        before = set(threading.enumerate())
+        server = PkQueryServer(center.publish_file_pk()).start()
+        online = OnlineResolver(server.endpoint)
+        try:
+            assert online.resolve("CA0", results["CA0"].R) is not None
+            kept = online._sock
+        finally:
+            server.stop()
+        try:
+            kept.settimeout(1)
+            assert kept.recv(1) == b""
+            assert [t for t in threading.enumerate() if t not in before] == []
+        finally:
+            online.close()
+
     def test_response_caps_follow_the_header_format(self):
         # the matrix cap is the region of the largest header that decodes:
         # u16 m at its maximum with h = 16 (h = 32 would allow only m <= 256)
@@ -390,6 +462,37 @@ class TestOnline:
             with pytest.raises(TransportError, match="exceeds"):
                 OnlineResolver(endpoint).resolve("CA0", b"\x00" * 32)
         assert asked == [4]  # the length prefix only, never the body
+
+    def test_oversize_response_on_a_kept_connection_is_not_retried(self, setup):
+        center, _ = setup
+        file = center.publish_file_pk()
+        region = bytes(file[:pk_directory.decode_header(file).record_region_offset])
+        listener = socket.create_server(("127.0.0.1", 0))
+        listener.settimeout(10)
+
+        def serve():
+            conn, _ = listener.accept()
+            with conn:
+                deadline = time.monotonic() + 10
+                pk_resolver._recv_msg(conn, pk_resolver.MAX_REQUEST_BYTES, deadline)
+                pk_resolver._send_msg(conn, region)
+                pk_resolver._recv_msg(conn, pk_resolver.MAX_REQUEST_BYTES, deadline)
+                conn.sendall(struct.pack(">I", 0xFFFFFFFF))
+                wait_for_hangup(conn)
+
+        thread = threading.Thread(target=serve, daemon=True)
+        thread.start()
+        try:
+            online = OnlineResolver(listener.getsockname())
+            with pytest.raises(TransportError, match="exceeds"):
+                online.resolve("CA0", b"\x00" * 32)
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+            listener.settimeout(0.2)
+            with pytest.raises(TimeoutError):
+                listener.accept()  # no second connection: the request was not sent again
+        finally:
+            listener.close()
 
     def test_record_response_capped_at_one_plus_pk_len(self, setup):
         center, results = setup

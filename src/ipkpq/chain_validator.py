@@ -7,8 +7,10 @@ against a pinned digest instead of being signature-verified. That costs
 depth + 1 signature verifications and fetches every non-root RC per
 validation (the root is kept once it matched the pin, as deployments do).
 
-Identity mode never walks a chain: the registration record is checked
-first (cheap policy before expensive crypto), the signer's public key is
+Identity mode never walks a chain: the signer's registration record is
+checked first (cheap policy before expensive crypto): its status, its
+validity window in the same epoch seconds as the RC checks, and its
+resources, which must cover the ROA's. Then the signer's public key is
 resolved from (id, R) and the local matrix, and the single ROA signature
 is verified. One signature verification at any depth; after the matrix
 is cached, the only bytes fetched per validation are one directory
@@ -19,9 +21,9 @@ from __future__ import annotations
 
 import time
 from dataclasses import asdict, dataclass
-from datetime import datetime, timezone
+from typing import Mapping
 
-from .key_center import STATUS_ACTIVE, RegistrationTable
+from .key_center import STATUS_ACTIVE, RegistrationRecord
 from .mldsa import verify
 from .pk_resolver import FileResolver, NOT_FOUND, OnlineResolver, RHO_MISMATCH
 from .rpki_objects import (
@@ -149,7 +151,7 @@ class IpkpqValidator:
     """Chain-free validation via registration policy plus seed-consistent keys."""
 
     def __init__(self, resolver: FileResolver | OnlineResolver,
-                 registration_table: RegistrationTable):
+                 registration_table: Mapping[str, RegistrationRecord]):
         self.resolver = resolver
         self.registration_table = registration_table
 
@@ -162,9 +164,10 @@ class IpkpqValidator:
         record = self.registration_table.get(roa.signer_name)
         if record is None or record.status != STATUS_ACTIVE:
             return REASON_REGISTRATION_INVALID
-        if not (record.valid_from <= datetime.fromtimestamp(now, timezone.utc)
-                <= record.valid_to):
+        if not (record.valid_from <= now <= record.valid_to):
             return REASON_EXPIRED
+        if not record.inr.contains(roa.inr):
+            return REASON_INR_VIOLATION
 
         fetched0 = self.resolver.bytes_fetched
         objects0 = self.resolver.objects_fetched

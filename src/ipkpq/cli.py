@@ -29,7 +29,7 @@ from .bench import (
 )
 from .chain_validator import IpkpqValidator, StandardValidator
 from .errors import IpkpqError
-from .key_center import KeyCenter, RegistrationTable, init_center
+from .key_center import KeyCenter, init_center, parse_log
 from .mldsa.params import LEVELS
 from .rpki_objects import (
     CaNode,
@@ -157,7 +157,7 @@ def cmd_center_register(args) -> int:
     center = _load_center(state)
     start = datetime.now(timezone.utc).replace(microsecond=0)
     record = center.register(args.attrs, args.id, start,
-                             start + timedelta(days=args.days))
+                             start + timedelta(days=args.days), inr=_parse_inr(args))
     center.save(_center_dir(state))
     print(record.to_json())
     return 0
@@ -279,9 +279,9 @@ def cmd_validate(args) -> int:
     else:
         center_dir = _center_dir(state)
         file_pk = (center_dir / "file_pk.bin").read_bytes()
-        table = RegistrationTable.from_jsonl(
-            (center_dir / "registration_table.jsonl").read_text())
-        validator = IpkpqValidator(pk_resolver.FileResolver(file_pk), table)
+        log = (center_dir / "registration_table.jsonl").read_bytes()
+        validator = IpkpqValidator(pk_resolver.FileResolver(file_pk),
+                                   {record.id: record for record in parse_log(log)})
         report = validator.validate(roa, now)
     print(json.dumps(report.to_dict(), indent=1))
     return 0 if report.ok else 1
@@ -338,6 +338,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--id", required=True)
     p.add_argument("--attrs", required=True)
     p.add_argument("--days", type=int, default=365)
+    p.add_argument("--prefix", action="append", help="prefix the id may sign for")
+    p.add_argument("--asn", action="append", help="single ASN or lo-hi range")
     p.set_defaults(func=cmd_center_register)
     p = center.add_parser("publish", help="export File_PK and the registration table")
     p.add_argument("--out")

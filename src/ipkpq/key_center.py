@@ -9,8 +9,11 @@ hook.
 
 Registration state is an append-only log, one JSON object per line, and
 the last line for an id is authoritative (the same last-wins idiom as
-File_PK records). The registration secret rho'_r never appears in the
-published table.
+File_PK records). A record carries what identity mode trusts in place of
+a certificate chain: status, validity window in epoch seconds (the clock
+of resource certificates) and the resources the id may sign for. A relying
+party checks all three before any crypto. The registration secret rho'_r
+never appears in the published table.
 """
 
 from __future__ import annotations
@@ -21,14 +24,17 @@ import os
 import secrets
 import threading
 from dataclasses import dataclass, replace
-from datetime import datetime, timezone
+from datetime import datetime
 from pathlib import Path
+from types import MappingProxyType
+from typing import Iterator, Mapping
 
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
 from . import pk_directory
-from .errors import ConflictError, ParameterError, StateError
+from .errors import ConflictError, DecodeError, ParameterError, StateError
 from .mldsa.params import L44, MlDsaLevel
+from .rpki_objects import InrSet
 from .seed_fabric import (
     EntropySource,
     SeedMatrixPriv,
@@ -43,16 +49,19 @@ STATUS_REGISTERED = "registered"
 STATUS_ACTIVE = "active"
 STATUS_RENEWING = "renewing"
 STATUS_REVOKED = "revoked"
+_STATUSES = frozenset({STATUS_REGISTERED, STATUS_ACTIVE, STATUS_RENEWING, STATUS_REVOKED})
 
-_TIME_FMT = "%Y-%m-%dT%H:%M:%SZ"
+NO_RESOURCES = InrSet.of()
+_LOG_KEYS = frozenset({"attributes", "id", "R", "valid_from", "valid_to", "status",
+                       "prefixes", "as_ranges"})
 
 
-def format_time(t: datetime) -> str:
-    return t.astimezone(timezone.utc).strftime(_TIME_FMT)
-
-
-def parse_time(s: str) -> datetime:
-    return datetime.strptime(s, _TIME_FMT).replace(tzinfo=timezone.utc)
+def _field(obj: dict, key: str, kind: type):
+    """obj[key], refused unless it is exactly of `kind` (so a bool is no int)."""
+    value = obj[key]
+    if type(value) is not kind:
+        raise DecodeError(f"{key} is not {kind.__name__}: {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -60,53 +69,66 @@ class RegistrationRecord:
     attributes: str
     id: str
     R: bytes | None
-    valid_from: datetime
-    valid_to: datetime
+    valid_from: int  # epoch seconds, inclusive at both ends
+    valid_to: int
     status: str = STATUS_REGISTERED
+    inr: InrSet = NO_RESOURCES  # what the id may sign for
 
     def to_json(self) -> str:
         return json.dumps({
             "attributes": self.attributes,
             "id": self.id,
             "R": self.R.hex() if self.R is not None else None,
-            "valid_from": format_time(self.valid_from),
-            "valid_to": format_time(self.valid_to),
+            "valid_from": self.valid_from,
+            "valid_to": self.valid_to,
             "status": self.status,
+            "prefixes": [str(p) for p in self.inr.prefixes],
+            "as_ranges": [list(r) for r in self.inr.as_ranges],
         }, sort_keys=True)
 
     @classmethod
-    def from_json(cls, line: str) -> "RegistrationRecord":
+    def from_json(cls, line: str | bytes) -> "RegistrationRecord":
+        """ValueError (DecodeError included) for anything but a record."""
         obj = json.loads(line)
+        if type(obj) is not dict or obj.keys() != _LOG_KEYS:
+            raise DecodeError(f"not an object with the keys {sorted(_LOG_KEYS)}")
+        r_value = None if obj["R"] is None else bytes.fromhex(_field(obj, "R", str))
+        if r_value is not None and len(r_value) != 32:
+            raise DecodeError(f"R is not 32 bytes of hex: {obj['R']!r}")
+        status = _field(obj, "status", str)
+        if status not in _STATUSES:
+            raise DecodeError(f"unknown status {status!r}")
+        prefixes = _field(obj, "prefixes", list)
+        ranges = _field(obj, "as_ranges", list)
+        if not (all(type(p) is str for p in prefixes)
+                and all(type(r) is list and len(r) == 2
+                        and all(type(n) is int for n in r) for r in ranges)):
+            raise DecodeError("resources are not prefix strings and [lo, hi] AS ranges")
         return cls(
-            attributes=obj["attributes"],
-            id=obj["id"],
-            R=bytes.fromhex(obj["R"]) if obj["R"] else None,
-            valid_from=parse_time(obj["valid_from"]),
-            valid_to=parse_time(obj["valid_to"]),
-            status=obj["status"],
+            attributes=_field(obj, "attributes", str),
+            id=_field(obj, "id", str),
+            R=r_value,
+            valid_from=_field(obj, "valid_from", int),
+            valid_to=_field(obj, "valid_to", int),
+            status=status,
+            inr=InrSet.of(prefixes, [tuple(r) for r in ranges]),
         )
 
 
-def _parse_log(text: str):
-    """The records of a JSON-lines registration log, in order."""
-    return (RegistrationRecord.from_json(line) for line in text.splitlines() if line.strip())
+def parse_log(log: str | bytes) -> Iterator[RegistrationRecord]:
+    """The records of a JSON-lines registration log, text or bytes as read
+    from a file, in order.
 
-
-class RegistrationTable:
-    """Read-side view of the published registration log."""
-
-    def __init__(self, records: dict[str, RegistrationRecord] | None = None):
-        self._records = dict(records or {})
-
-    @classmethod
-    def from_jsonl(cls, text: str) -> "RegistrationTable":
-        return cls({rec.id: rec for rec in _parse_log(text)})
-
-    def get(self, id_: str) -> RegistrationRecord | None:
-        return self._records.get(id_)
-
-    def __len__(self) -> int:
-        return len(self._records)
+    Raises only DecodeError, naming the first line that is not a record.
+    """
+    for number, line in enumerate(log.split(b"\n" if isinstance(log, bytes) else "\n"), 1):
+        if not line.strip():
+            continue
+        try:
+            record = RegistrationRecord.from_json(line)
+        except (ValueError, TypeError, RecursionError) as exc:  # deep nesting recurses
+            raise DecodeError(f"registration log line {number}: {exc}") from None
+        yield record
 
 
 class SealedStore:
@@ -188,7 +210,8 @@ class KeyCenter:
     """Single-writer authority over the sealed store, records, and File_PK.
 
     Built whole from a sealed store, the File_PK bytes and the registration
-    log (JSON lines); the level and public matrix are read from File_PK.
+    log (JSON lines, read by `parse_log`); the level and public matrix are
+    read from File_PK.
 
     File_PK lives in an append-only buffer: its first `_size` bytes are the
     file, and records are only ever written beyond them, so a published view
@@ -196,7 +219,7 @@ class KeyCenter:
     does, it moves, once, into a buffer with as much room again.
     """
 
-    def __init__(self, store: SealedStore, file_pk: bytes, log: str = ""):
+    def __init__(self, store: SealedStore, file_pk: bytes, log: str | bytes = ""):
         self.store = store
         self.level = pk_directory.decode_header(file_pk).level
         self.pub_matrix = pk_directory.extract_matrix(file_pk)
@@ -206,22 +229,26 @@ class KeyCenter:
         self._log: list[RegistrationRecord] = []
         self._current: dict[str, RegistrationRecord] = {}
         self._lock = threading.RLock()
-        for record in _parse_log(log):
+        for record in parse_log(log):
             self._append(record)
 
     # -- registration --------------------------------------------------
 
     def register(self, attributes: str, id_: str, valid_from: datetime,
-                 valid_to: datetime,
-                 rng: EntropySource = secrets.token_bytes) -> RegistrationRecord:
+                 valid_to: datetime, rng: EntropySource = secrets.token_bytes, *,
+                 inr: InrSet = NO_RESOURCES) -> RegistrationRecord:
+        """Open a registration for `id_`, valid from `valid_from` to `valid_to`
+        (aware datetimes, kept as epoch seconds), that may sign for `inr`."""
         validate_identity(id_)
+        valid_from, valid_to = int(valid_from.timestamp()), int(valid_to.timestamp())
         if valid_from >= valid_to:
             raise ParameterError("valid_from must precede valid_to")
         with self._lock:
             existing = self._current.get(id_)
             if existing is not None and existing.status != STATUS_REVOKED:
                 raise ConflictError(f"{id_!r} already has an active registration")
-            record = RegistrationRecord(attributes, id_, None, valid_from, valid_to)
+            record = RegistrationRecord(attributes, id_, None, valid_from, valid_to,
+                                        inr=inr)
             self.store.new_reg_secret(id_, rng)
             self._append(record)
             return record
@@ -229,6 +256,7 @@ class KeyCenter:
     def renew(self, id_: str, new_valid_to: datetime,
               rng: EntropySource = secrets.token_bytes) -> RegistrationRecord:
         """Open a re-key window: fresh registration secret, extended validity."""
+        new_valid_to = int(new_valid_to.timestamp())
         with self._lock:
             record = self._lookup(id_)
             if record.status == STATUS_REVOKED:
@@ -247,10 +275,6 @@ class KeyCenter:
             updated = replace(record, status=STATUS_REVOKED)
             self._append(updated)
             return updated
-
-    def record(self, id_: str) -> RegistrationRecord | None:
-        with self._lock:
-            return self._current.get(id_)
 
     def _lookup(self, id_: str) -> RegistrationRecord:
         record = self._current.get(id_)
@@ -323,9 +347,9 @@ class KeyCenter:
         with self._lock:
             return "\n".join(rec.to_json() for rec in self._log) + ("\n" if self._log else "")
 
-    def registration_table(self) -> RegistrationTable:
-        with self._lock:
-            return RegistrationTable(self._current)
+    def registration_table(self) -> Mapping[str, RegistrationRecord]:
+        """The id -> last-record map, read-only and live: later changes show."""
+        return MappingProxyType(self._current)
 
     # -- persistence -----------------------------------------------------
 
@@ -388,7 +412,7 @@ class KeyCenter:
                              f"{header.m}x{header.h} {header.level.name} center")
         key = bytes.fromhex((directory / cls._SEAL_KEY_FILE).read_text().strip())
         return cls(SealedStore.import_encrypted(key, files[cls._SEALED_FILE]),
-                   files[cls._FILE_PK], files[cls._REG_TABLE].decode())
+                   files[cls._FILE_PK], files[cls._REG_TABLE])
 
     @classmethod
     def exists(cls, directory: str | Path) -> bool:

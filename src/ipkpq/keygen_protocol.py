@@ -26,9 +26,9 @@ import enum
 import secrets
 import struct
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .errors import DecodeError, ParameterError, StateError
-from .key_center import KeyCenter
 from .mldsa import keygen_from_components
 from .mldsa.params import LEVEL_BY_CATEGORY, MlDsaLevel
 from .seed_fabric import (
@@ -38,6 +38,9 @@ from .seed_fabric import (
     derive_public_seed,
     seed_sum,
 )
+
+if TYPE_CHECKING:  # key_center imports rpki_objects, which imports this module
+    from .key_center import KeyCenter
 
 MAGIC = b"IPKM"
 VERSION = 1

@@ -30,14 +30,16 @@ import struct
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import TYPE_CHECKING, Iterable, Optional
 
 from .errors import AuthorizationError, DecodeError, ParameterError
-from .key_center import KeyCenter
 from .keygen_protocol import run_keygen
 from .mldsa import keygen, sign
 from .mldsa.params import MlDsaLevel
 from .seed_fabric import EntropySource, ID_SEPARATOR, validate_identity
+
+if TYPE_CHECKING:  # key_center imports InrSet from here
+    from .key_center import KeyCenter
 
 MODE_STANDARD = "standard"
 MODE_IPKPQ = "ipkpq"
@@ -677,11 +679,11 @@ def _provision(parent: CaNode | None, name: str, mode: str, level: MlDsaLevel,
                       pk=pk, parent=parent)
     if center is None:
         raise ParameterError("ipkpq provisioning needs a key center")
-    if center.record(name) is None:
+    if name not in center.registration_table():
         center.register(
             name.rsplit(ID_SEPARATOR, 1)[-1], name,
             datetime.fromtimestamp(valid_from, timezone.utc),
-            datetime.fromtimestamp(valid_to, timezone.utc), rng)
+            datetime.fromtimestamp(valid_to, timezone.utc), rng, inr=inr)
     result = run_keygen(center, name, rng)
     if metrics is not None:
         metrics.note_keygen()

@@ -36,6 +36,8 @@ from ipkpq.rpki_objects import (
 from test_rpki_objects import WINDOW, build_tree
 
 NOW = (WINDOW[0] + WINDOW[1]) // 2
+OUT_OF_PREFIX = InrSet.of(["192.0.2.0/24"], [(64100, 64100)])
+OUT_OF_AS_RANGE = InrSet.of(["10.0.0.0/24"], [(13335, 13335)])
 
 
 def std_setup(depth=3, seed="std"):
@@ -50,6 +52,16 @@ def ipk_setup(depth=3, seed="ipk"):
     validator = IpkpqValidator(FileResolver(center.publish_file_pk()),
                                center.registration_table())
     return root, leaf, center, roa, validator
+
+
+def roa_outside_allocation(leaf, inr, rng):
+    """A ROA the leaf signs for resources it was never given."""
+    allocated = leaf.inr
+    leaf.inr = InrSet.of(["0.0.0.0/0"], [(0, 100_000)])  # passes issue_roa's own check
+    try:
+        return issue_roa(leaf, inr, rng=rng)
+    finally:
+        leaf.inr = allocated
 
 
 class TestHonestValidation:
@@ -274,6 +286,27 @@ class TestIpkpqFailures:
         report = validator.validate(roa, WINDOW[1] + 10)
         assert report.reason == REASON_EXPIRED
 
+    def test_window_is_inclusive_in_epoch_seconds(self):
+        _, _, _, roa, validator = ipk_setup()
+        assert validator.validate(roa, WINDOW[0]).ok
+        assert validator.validate(roa, WINDOW[1]).ok
+        assert validator.validate(roa, WINDOW[0] - 1).reason == REASON_EXPIRED
+        assert validator.validate(roa, WINDOW[1] + 1).reason == REASON_EXPIRED
+
+    def test_validator_sees_a_revocation_made_after_it_was_built(self):
+        _, leaf, center, roa, validator = ipk_setup()
+        assert validator.validate(roa, NOW).ok
+        center.revoke(leaf.name)
+        assert validator.validate(roa, NOW).reason == REASON_REGISTRATION_INVALID
+
+    def test_out_of_allocation_costs_no_verify_and_no_bytes(self):
+        _, leaf, _, _, validator = ipk_setup()
+        roa = roa_outside_allocation(leaf, OUT_OF_PREFIX, Drbg("wide"))
+        report = validator.validate(roa, NOW)
+        assert report.reason == REASON_INR_VIOLATION
+        assert report.sig_verifies_performed == 0
+        assert report.bytes_fetched == 0
+
     def test_record_missing_from_directory(self):
         # registered and active, but the directory never got the record
         root, leaf, center, roa, _ = ipk_setup()
@@ -325,6 +358,17 @@ class TestCrossMode:
         standard = StandardValidator(repo, sha_digest(root.rc.encode()))
         assert standard.validate(iroa, NOW).reason == REASON_CHAIN_BROKEN
         assert ipk_validator.validate(roa, NOW).reason == REASON_REGISTRATION_INVALID
+
+    @pytest.mark.parametrize("inr", [OUT_OF_PREFIX, OUT_OF_AS_RANGE],
+                             ids=["prefix", "as-range"])
+    def test_out_of_allocation_is_an_inr_violation_in_both_modes(self, inr):
+        root, leaf, repo, _ = std_setup()
+        standard = StandardValidator(repo, sha_digest(root.rc.encode()))
+        std_roa = roa_outside_allocation(leaf, inr, Drbg("wide-std"))
+        _, ileaf, _, _, identity = ipk_setup()
+        ipk_roa = roa_outside_allocation(ileaf, inr, Drbg("wide-ipk"))
+        assert standard.validate(std_roa, NOW).reason == REASON_INR_VIOLATION
+        assert identity.validate(ipk_roa, NOW).reason == REASON_INR_VIOLATION
 
     def test_no_false_accepts_across_mutation_suite(self):
         root, _, repo, roa = std_setup()

@@ -46,6 +46,17 @@ class TestCenterCommands:
         assert record["id"] == "APNIC"
         assert record["status"] == "registered"
         assert "rho" not in record  # sealed randomness never published
+        assert (record["prefixes"], record["as_ranges"]) == ([], [])
+
+    def test_register_binds_resources(self, tmp_path, capsys):
+        run(tmp_path, "center", "init", "--m", "8", "--h", "8")
+        capsys.readouterr()
+        assert run(tmp_path, "center", "register", "--id", "APNIC", "--attrs", "NIC",
+                   "--prefix", "10.0.0.0/8", "--asn", "64000-65000",
+                   "--asn", "7") == 0
+        record = json.loads(capsys.readouterr().out)
+        assert record["prefixes"] == ["10.0.0.0/8"]
+        assert record["as_ranges"] == [[7, 7], [64000, 65000]]
 
     def test_publish_writes_artifacts(self, tmp_path, capsys):
         run(tmp_path, "center", "init", "--m", "8", "--h", "8")
@@ -158,6 +169,16 @@ class TestMissingFiles:
         assert run(tmp_path, *[missing if a == "MISSING" else a for a in argv]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "no-such-file" in err
+
+    def test_validate_with_malformed_registration_log_exits_2(self, tmp_path, capsys):
+        roa_path = full_ipkpq_flow(tmp_path, capsys)
+        log = tmp_path / "state" / "center" / "registration_table.jsonl"
+        log.write_text(log.read_text().replace('"status"', '"state"'))
+        assert run(tmp_path, "validate", "--mode", "ipkpq",
+                   "--roa", str(roa_path)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: registration log line 1: ")
+        assert "Traceback" not in err
 
     def test_validate_with_missing_center_file_exits_2(self, tmp_path, capsys):
         roa_path = full_ipkpq_flow(tmp_path, capsys)

@@ -6,22 +6,26 @@ import stat
 from datetime import timedelta
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import WINDOW, register
 from ipkpq import pk_directory, pk_resolver
 from ipkpq.drbg import Drbg
-from ipkpq.errors import ConflictError, ParameterError, StateError
+from ipkpq.errors import ConflictError, DecodeError, ParameterError, StateError
 from ipkpq.key_center import (
     KeyCenter,
-    RegistrationTable,
+    NO_RESOURCES,
     STATUS_ACTIVE,
     STATUS_REGISTERED,
     STATUS_RENEWING,
     STATUS_REVOKED,
     init_center,
+    parse_log,
 )
 from ipkpq.keygen_protocol import run_keygen
 from ipkpq.mldsa import L44
+from ipkpq.rpki_objects import InrSet
 
 
 class TestInit:
@@ -44,7 +48,7 @@ class TestRegistration:
         record = center.register("APNIC", "APNIC", *WINDOW)
         assert record.R is None
         assert record.status == STATUS_REGISTERED
-        assert center.record("APNIC") == record
+        assert center.registration_table()["APNIC"] == record
 
     def test_duplicate_active_id_conflicts(self, center):
         register(center, "APNIC")
@@ -106,9 +110,121 @@ class TestRenewRevoke:
     def test_revoked_record_status(self, center):
         register(center, "APNIC")
         run_keygen(center, "APNIC", Drbg("ca1"))
+        revoked = center.revoke("APNIC")
+        assert revoked.status == STATUS_REVOKED
+        assert center.registration_table().get("APNIC") == revoked
+
+
+class TestRecords:
+    def test_times_are_epoch_seconds(self, center):
+        record = center.register("APNIC", "APNIC", *WINDOW)
+        assert (record.valid_from, record.valid_to) == tuple(
+            int(t.timestamp()) for t in WINDOW)
+
+    def test_register_binds_resources(self, center):
+        inr = InrSet.of(["10.0.0.0/8"], [(64000, 65000)])
+        assert center.register("A", "A", *WINDOW, inr=inr).inr == inr
+        assert center.register("B", "B", *WINDOW).inr == NO_RESOURCES
+        run_keygen(center, "A", Drbg("ca"))
+        assert center.registration_table()["A"].inr == inr  # kept through keygen
+
+    def test_log_times_are_json_integers(self, center):
+        register(center, "APNIC")
+        run_keygen(center, "APNIC", Drbg("ca1"))
+        for line in center.publish_registration_table().splitlines():
+            obj = json.loads(line)
+            assert type(obj["valid_from"]) is int and type(obj["valid_to"]) is int
+
+    def test_resources_round_trip_through_the_log(self, center):
+        inr = InrSet.of(["10.0.0.0/8", "2001:db8::/32"], [(64000, 65000), (7, 7)])
+        center.register("A", "A", *WINDOW, inr=inr)
+        line = center.publish_registration_table()
+        assert json.loads(line)["prefixes"] == ["10.0.0.0/8", "2001:db8::/32"]
+        assert json.loads(line)["as_ranges"] == [[7, 7], [64000, 65000]]
+        assert next(parse_log(line)).inr == inr
+
+    def test_table_is_a_live_read_only_view(self, center):
+        table = center.registration_table()
+        register(center, "APNIC")
+        assert table["APNIC"].status == STATUS_REGISTERED
         center.revoke("APNIC")
-        assert center.record("APNIC").status == STATUS_REVOKED
-        assert center.registration_table().get("APNIC").status == STATUS_REVOKED
+        assert table["APNIC"].status == STATUS_REVOKED
+        with pytest.raises(TypeError):
+            table["APNIC"] = None
+
+
+def log_line(**changes) -> str:
+    obj = {"attributes": "APNIC", "id": "APNIC", "R": "ab" * 32, "valid_from": 1,
+           "valid_to": 2, "status": "active", "prefixes": ["10.0.0.0/8"],
+           "as_ranges": [[64000, 65000]]}
+    obj.update(changes)
+    return json.dumps(obj)
+
+
+VALID_LOG = "\n".join([log_line(R=None, status="registered"), log_line(),
+                       log_line(id="A||B", prefixes=[], as_ranges=[])]) + "\n"
+
+BAD_LINES = {
+    "not-an-object": "[1]",
+    "not-json": '{"id": ',
+    "nested-too-deep": "[" * 100_000,
+    "renamed-key": log_line().replace('"status"', '"state"'),
+    "old-format": json.dumps({"R": None, "attributes": "APNIC", "id": "APNIC",
+                              "status": "registered",
+                              "valid_from": "2026-12-02T00:00:00Z",
+                              "valid_to": "2028-01-01T00:00:00Z"}),
+    "iso-time": log_line(valid_from="2026-12-02T00:00:00Z"),
+    "month-13": log_line(valid_to="2026-13-01T00:00:00Z"),
+    "bool-time": log_line(valid_to=True),
+    "float-time": log_line(valid_from=1.5),
+    "unknown-status": log_line(status="bogus"),
+    "short-R": log_line(R="ab" * 31),
+    "non-hex-R": log_line(R="zz" * 32),
+    "id-not-text": log_line(id=5),
+    "prefix-with-host-bits": log_line(prefixes=["10.0.0.1/8"]),
+    "prefix-not-text": log_line(prefixes=[167772160]),
+    "reversed-as-range": log_line(as_ranges=[[65000, 64000]]),
+    "as-range-not-a-pair": log_line(as_ranges=[[64000]]),
+    "as-beyond-32-bits": log_line(as_ranges=[[0, 1 << 32]]),
+}
+
+
+class TestRegistrationLog:
+    def test_valid_log_parses_last_line_wins(self):
+        table = {record.id: record for record in parse_log(VALID_LOG)}
+        assert sorted(table) == ["APNIC", "A||B"]
+        assert table["APNIC"].status == STATUS_ACTIVE
+        assert table["APNIC"].R == bytes.fromhex("ab" * 32)
+        assert table["A||B"].inr == NO_RESOURCES
+
+    @pytest.mark.parametrize("line", BAD_LINES.values(), ids=BAD_LINES.keys())
+    def test_malformed_line_raises_decode_error_naming_it(self, line):
+        with pytest.raises(DecodeError, match="registration log line 2: "):
+            list(parse_log(log_line() + "\n" + line + "\n"))
+
+    def test_line_that_is_not_utf8_raises_decode_error_naming_it(self):
+        with pytest.raises(DecodeError, match="registration log line 2: "):
+            list(parse_log(log_line().encode() + b"\n\xff\xfe\n"))
+
+    def test_center_refuses_an_old_format_log(self, center):
+        file_pk = center.publish_file_pk()
+        with pytest.raises(DecodeError, match="line 1"):
+            KeyCenter(center.store, file_pk, BAD_LINES["old-format"] + "\n")
+
+
+_LOG_CHARS = '{}[]":, 0123456789abcdeftrunlsAPNIC\n'
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, len(VALID_LOG)), st.integers(0, 8),
+       st.text(alphabet=_LOG_CHARS, max_size=8))
+def test_mutated_log_gives_a_map_or_decode_error(pos, cut, insert):
+    mutated = VALID_LOG[:pos] + insert + VALID_LOG[pos + cut:]
+    try:
+        table = {record.id: record for record in parse_log(mutated)}
+    except DecodeError:
+        return
+    assert isinstance(table, dict)
 
 
 class TestPublication:
@@ -153,11 +269,12 @@ class TestPublication:
         register(center, "APNIC")
         run_keygen(center, "APNIC", Drbg("ca1"))
         text = center.publish_registration_table()
-        table = RegistrationTable.from_jsonl(text)
+        table = {record.id: record for record in parse_log(text)}
         record = table.get("APNIC")
         assert record is not None
         assert record.status == STATUS_ACTIVE
         assert record.R is not None
+        assert table == center.registration_table()
 
     def test_published_table_line_shape(self, center):
         import json as json_mod
@@ -167,7 +284,7 @@ class TestPublication:
         last = center.publish_registration_table().splitlines()[-1]
         obj = json_mod.loads(last)
         assert set(obj) == {"attributes", "id", "R", "valid_from", "valid_to",
-                            "status"}
+                            "status", "prefixes", "as_ranges"}
         assert bytes.fromhex(obj["R"])  # R published as hex
 
     def test_published_artifacts_never_leak_sealed_material(self, center):
@@ -208,7 +325,7 @@ class TestPersistence:
         center.save(tmp_path)
         loaded = KeyCenter.load(tmp_path)
         assert loaded.publish_file_pk() == center.publish_file_pk()
-        assert loaded.record("APNIC") == center.record("APNIC")
+        assert loaded.registration_table()["APNIC"] == center.registration_table()["APNIC"]
         assert (loaded.store.inspect_for_tests()["reg_secrets"]
                 == center.store.inspect_for_tests()["reg_secrets"])
         # the reloaded center can keep issuing keys
@@ -270,7 +387,7 @@ class TestPersistence:
         center.save(tmp_path)
         loaded = KeyCenter.load(tmp_path)
         assert loaded.publish_file_pk() == center.publish_file_pk()
-        assert loaded.record("APNIC") == center.record("APNIC")
+        assert loaded.registration_table()["APNIC"] == center.registration_table()["APNIC"]
 
     def test_center_json_disagreeing_with_file_pk_is_refused(self, tmp_path, center):
         center.save(tmp_path)

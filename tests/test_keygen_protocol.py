@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_center, register
+from conftest import WINDOW, make_center, register
 from ipkpq import pk_directory, pk_resolver
 from ipkpq.drbg import Drbg
 from ipkpq.errors import DecodeError, ParameterError, StateError
@@ -69,7 +69,7 @@ class TestKcRespond:
         register(center, "APNIC")
         _, msg1 = ca_begin(Drbg("ca"))
         _, msg2 = kc_respond(center, "APNIC", msg1)
-        assert center.record("APNIC").R == msg2.R
+        assert center.registration_table()["APNIC"].R == msg2.R
 
     def test_unknown_id(self, center):
         _, msg1 = ca_begin(Drbg("ca"))
@@ -97,8 +97,8 @@ class TestKcRespond:
         kc_respond(center, "APNIC", ca_begin(Drbg("ca1"))[1])
         with pytest.raises(StateError):
             kc_respond(center, "APNIC", ca_begin(Drbg("ca2"))[1])
-        center.renew("APNIC", center.record("APNIC").valid_to)
-        assert center.record("APNIC").R is None
+        center.renew("APNIC", WINDOW[1])
+        assert center.registration_table()["APNIC"].R is None
         run_keygen(center, "APNIC", Drbg("ca3"))
 
     def test_bad_kr_length(self, center):
@@ -207,7 +207,7 @@ class TestSecrecyProperties:
         register(center, "APNIC")
         _, msg1 = ca_begin(Drbg("fixed-ca"))
         _, msg2_first = kc_respond(center, "APNIC", msg1)
-        center.renew("APNIC", center.record("APNIC").valid_to)
+        center.renew("APNIC", WINDOW[1])
         _, msg2_second = kc_respond(center, "APNIC", msg1)
         assert msg2_first.R == msg2_second.R
         assert msg2_first.rho == msg2_second.rho

@@ -57,6 +57,7 @@ def test_every_workload_runs_at_a_tiny_shape(monkeypatch):
         connects.clear()
         result = workloads.run(name, seed=5, seconds=1, trace=False, shape=shape)
         assert result.correct, (name, result.notes)
+        assert result.failed == 0, (name, result.notes)
         assert list(result.metrics) == spec_names, name
         # every online query of a set-up shares one kept-open connection
         online = name == "enroll-online"
